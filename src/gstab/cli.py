@@ -412,7 +412,7 @@ def cli_dispatch(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericFailure as exc:
+    except (NumericFailure, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError, KeyError) as exc:

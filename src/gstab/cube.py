@@ -6,11 +6,16 @@ influences, and standard voting rules.
 Points are indexed by bit pattern: bit i of the index is 1 when x_i = +1.
 A function is a flat table of labels in 1..k over all 2^n points; analysis
 runs on its simplex embedding, whose Walsh coefficients are computed by an
-in-place butterfly.  With fhat the embedded coefficients,
+in-place butterfly into a (2^n, k) array whose row S is the coefficient of
+the subset with mask S.  With fhat the embedded coefficients,
 
     stability(rho)   = sum_S rho^{|S|} ||fhat(S)||^2
                      = Pr[f(x) = f(y)],  E[x_i y_i] = rho,
     influence_i      = sum_{S containing i} ||fhat(S)||^2.
+
+Both sums are array reductions over the spectral masses ||fhat(S)||^2:
+the stability bins them by level |S|, each influence sums the rows whose
+mask has bit i set.
 """
 from __future__ import annotations
 
@@ -63,16 +68,31 @@ class CubeFn:
         return out
 
     def to_json(self) -> str:
-        packed = base64.b64encode(self.table.astype(np.uint8).tobytes()).decode()
-        return json.dumps({"n": self.n, "k": self.k, "labels": packed})
+        """Labels packed as base64 bytes: uint8 when k <= 255, otherwise the
+        narrowest little-endian unsigned type, named under "dtype"."""
+        dtype = np.min_scalar_type(self.k).newbyteorder("<")
+        packed = base64.b64encode(self.table.astype(dtype).tobytes()).decode()
+        doc = {"n": self.n, "k": self.k, "labels": packed}
+        if dtype.itemsize > 1:
+            doc["dtype"] = dtype.str
+        return json.dumps(doc)
 
     @classmethod
     def from_json(cls, text: str) -> "CubeFn":
         doc = json.loads(text)
         table = np.frombuffer(
-            base64.b64decode(doc["labels"]), dtype=np.uint8
+            base64.b64decode(doc["labels"]), dtype=np.dtype(doc.get("dtype", "u1"))
         ).astype(np.int64)
         return cls(doc["n"], doc["k"], table)
+
+
+def _popcount(n: int) -> np.ndarray:
+    """|S| for every mask S in 0..2^n - 1."""
+    idx = np.arange(1 << n)
+    out = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        out += (idx >> i) & 1
+    return out
 
 
 def _butterfly(values: np.ndarray, n: int) -> np.ndarray:
@@ -89,33 +109,33 @@ def _butterfly(values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def walsh_transform(f: CubeFn) -> dict[int, np.ndarray]:
-    """Walsh coefficients of the simplex embedding, keyed by subset mask.
+def walsh_transform(f: CubeFn) -> np.ndarray:
+    """Walsh coefficients of the simplex embedding as a (2^n, k) array.
 
-    With the +-1 convention above, fhat(S) = 2^{-n} sum_x f(x) chi_S(x)
-    where chi_S(x) = prod_{i in S} x_i.  Exact up to roundoff; Parseval
-    holds with equality.
+    Row S is the coefficient of the subset with mask S.  With the +-1
+    convention above, fhat(S) = 2^{-n} sum_x f(x) chi_S(x) where
+    chi_S(x) = prod_{i in S} x_i.  Exact up to roundoff; Parseval holds
+    with equality.
     """
-    emb = f.embedding()
-    coeffs = _butterfly(emb, f.n) / (1 << f.n)
+    coeffs = _butterfly(f.embedding(), f.n) / (1 << f.n)
     # butterfly output at S is sum_x f(x) (-1)^{popcount(S & x)}; with the
     # bit=1 <-> +1 convention chi_S carries an extra (-1)^{|S|}.
-    out: dict[int, np.ndarray] = {}
-    for S in range(1 << f.n):
-        sign = -1.0 if bin(S).count("1") % 2 else 1.0
-        out[S] = sign * coeffs[S]
-    return out
+    coeffs[(_popcount(f.n) & 1).astype(bool)] *= -1.0
+    return coeffs
+
+
+def _spectral_mass(f: CubeFn) -> np.ndarray:
+    """||fhat(S)||^2 for every mask S."""
+    coeffs = walsh_transform(f)
+    return np.einsum("sk,sk->s", coeffs, coeffs)
 
 
 def cube_stability(f: CubeFn, rho: float) -> float:
     """Spectral value of Pr[f(x) = f(y)] for rho-correlated bits."""
     if abs(rho) > 1.0:
         raise ValueError("|rho| must be <= 1")
-    coeffs = walsh_transform(f)
-    total = 0.0
-    for S, c in coeffs.items():
-        total += rho ** bin(S).count("1") * float(np.dot(c, c))
-    return total
+    levels = np.bincount(_popcount(f.n), weights=_spectral_mass(f), minlength=f.n + 1)
+    return float(np.dot(float(rho) ** np.arange(f.n + 1), levels))
 
 
 def cube_stability_bruteforce(f: CubeFn, rho: float) -> float:
@@ -138,14 +158,9 @@ def cube_stability_bruteforce(f: CubeFn, rho: float) -> float:
 
 def cube_influences(f: CubeFn) -> np.ndarray:
     """Exact influences of the simplex embedding, via the spectrum."""
-    coeffs = walsh_transform(f)
-    out = np.zeros(f.n)
-    for S, c in coeffs.items():
-        mass = float(np.dot(c, c))
-        for i in range(f.n):
-            if S >> i & 1:
-                out[i] += mass
-    return out
+    mass = _spectral_mass(f)
+    # masks with bit i set are the second half of each block of 2^{i+1}
+    return np.array([mass.reshape(-1, 2, 1 << i)[:, 1].sum() for i in range(f.n)])
 
 
 def make_voting_rule(kind: str, n: int, k: int, breakpoints=None) -> CubeFn:
@@ -169,10 +184,7 @@ def make_voting_rule(kind: str, n: int, k: int, breakpoints=None) -> CubeFn:
             raise ValueError("majority rule needs k = 2")
         if n % 2 == 0:
             raise ValueError("majority needs odd n")
-        ones = np.zeros(npts, dtype=np.int64)
-        for i in range(n):
-            ones += (idx >> i) & 1
-        table = np.where(2 * ones > n, 1, 2)
+        table = np.where(2 * _popcount(n) > n, 1, 2)
     elif kind == "plurality":
         group = max(1, math.ceil(math.log2(k)))
         if n < group:
@@ -195,10 +207,7 @@ def make_voting_rule(kind: str, n: int, k: int, breakpoints=None) -> CubeFn:
         if breakpoints is None:
             breakpoints = ndtri(np.arange(1, k) / k)
         breakpoints = np.asarray(breakpoints, dtype=float)
-        ones = np.zeros(npts, dtype=np.int64)
-        for i in range(n):
-            ones += (idx >> i) & 1
-        s = (2.0 * ones - n) / math.sqrt(n)
+        s = (2.0 * _popcount(n) - n) / math.sqrt(n)
         table = np.searchsorted(breakpoints, s, side="left") + 1
     else:
         raise ValueError(f"unknown rule kind {kind!r}")

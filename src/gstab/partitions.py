@@ -529,19 +529,20 @@ def exact_expansion(f: PartitionFn, max_degree: int):
                 coeffs[S] = vec
         return HermiteExpansion(f.n, f.k, max_degree, coeffs)
     if isinstance(f, Tabulated) and f.n <= 6:
+        from .product_space import contract_axes
+
         half = np.zeros((2, max_degree + 1))
         half[0] = _interval_hermite_coeffs(-np.inf, 0.0, max_degree)  # sign -
         half[1] = _interval_hermite_coeffs(0.0, np.inf, max_degree)  # sign +
+        # C-order axes of the reshaped table run from bit n-1 down to bit
+        # 0; reverse them so axis i is coordinate i
+        table = f.cube.embedding().reshape((2,) * f.n + (f.k,))
+        table = table.transpose(tuple(range(f.n - 1, -1, -1)) + (f.n,))
+        full = contract_axes(table, half, f.n)
         coeffs = {}
         for S in degree_indices(f.n, max_degree):
-            vec = np.zeros(f.k)
-            for point in range(1 << f.n):
-                term = 1.0
-                for i in range(f.n):
-                    term *= half[(point >> i) & 1, S[i]]
-                vec[f.cube.table[point] - 1] += term
-            if np.linalg.norm(vec) >= 1e-14:
-                coeffs[S] = vec
+            if np.linalg.norm(full[S]) >= 1e-14:
+                coeffs[S] = full[S]
         return HermiteExpansion(f.n, f.k, max_degree, coeffs)
     raise ValueError("no exact expansion for this partition variant")
 

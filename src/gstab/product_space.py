@@ -218,13 +218,21 @@ def tensor_fourier(table: np.ndarray, basis: np.ndarray, marginal: np.ndarray, n
     if m**n > MAX_ENUM_POINTS:
         raise ValueError("enumeration budget exceeded")
     B = marginal[:, None] * basis  # contraction kernel E[f X_j] per axis
+    return ProductFourier(n, k, m, contract_axes(table, B, n))
+
+
+def contract_axes(table: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
+    """out[s_1..s_n, :] = sum_x table[x_1..x_n, :] prod_i B[x_i, s_i].
+
+    ``table`` has shape (m,)*n + (k,) and B shape (m, r); the n leading
+    axes are contracted one at a time, at cost about n m^n r k.
+    """
     out = table
     for _ in range(n):
-        # contracting axis 0 each time appends sigma_i last, so after n
-        # passes the layout is (k, sigma_1..sigma_n)
+        # contracting axis 0 each time appends s_i last, so after n
+        # passes the layout is (k, s_1..s_n)
         out = np.tensordot(out, B, axes=([0], [0]))
-    out = np.moveaxis(out, 0, -1)
-    return ProductFourier(n, k, m, out)
+    return np.moveaxis(out, 0, -1)
 
 
 def influence(F: ProductFourier, i: int) -> float:

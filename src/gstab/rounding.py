@@ -167,7 +167,9 @@ def smoothed_partition_values(f: PartitionFn, t: float, X: np.ndarray, quad_orde
     Interval-structured partitions (slabs, halfspaces, 1-D PTFs) use the
     exact Gaussian-CDF form of the smoothing: the projection of the
     noised point onto the structure direction is normal with known
-    location and scale.  Sign-table partitions factor per coordinate.
+    location and scale.  Sign-table partitions factor per coordinate, so
+    their smoothing is a contraction of the table with the per-point
+    orthant probabilities.
     Everything else integrates the defining formula on a tensor-product
     rule, which caps the dimension and converges slowly across cell
     boundaries; prefer the structured variants where accuracy matters.
@@ -183,15 +185,40 @@ def smoothed_partition_values(f: PartitionFn, t: float, X: np.ndarray, quad_orde
     if form is not None:
         return form.cell_probs(rho * (X @ form.direction), scale)
     if isinstance(f, Tabulated) and f.n <= 12:
-        plus = ndtr(rho * X / scale)  # Pr[noised coordinate > 0]
-        out = np.zeros((X.shape[0], f.k))
-        for point in range(1 << f.n):
-            term = np.ones(X.shape[0])
-            for i in range(f.n):
-                term = term * (plus[:, i] if (point >> i) & 1 else 1.0 - plus[:, i])
-            out[:, f.cube.table[point] - 1] += term
-        return out
+        return _smooth_sign_table(f, ndtr(rho * X / scale))
     return ou_on_points(lambda P: f.onehot(P), t, X, quad_order=quad_order, k=f.k)
+
+
+_BLOCK_ENTRIES = 1 << 20  # array entries per block of points
+
+
+def _sign_weights(plus: np.ndarray) -> np.ndarray:
+    """(2^m, N) orthant probabilities prod_i Pr[sign_i], rows indexed by
+    bit pattern, from the (m, N) probabilities that each coordinate is > 0."""
+    w = np.ones((1, plus.shape[1]))
+    for i in range(plus.shape[0] - 1, -1, -1):
+        w = np.stack((w * (1.0 - plus[i]), w * plus[i]), axis=1).reshape(-1, plus.shape[1])
+    return w
+
+
+def _smooth_sign_table(f: Tabulated, plus: np.ndarray) -> np.ndarray:
+    """sum_x onehot(f(x)) prod_i Pr[sign_i = x_i] for each row of ``plus``.
+
+    The one-hot table, viewed as (high bits, low bits, k), is contracted
+    over the low bits against the orthant weights of the low coordinates,
+    then over the high bits point by point, in blocks of points that keep
+    each block near _BLOCK_ENTRIES entries.
+    """
+    low = (f.n + 1) // 2
+    high = f.n - low
+    table = f.cube.embedding().reshape(1 << high, 1 << low, f.k)
+    out = np.empty((plus.shape[0], f.k))
+    step = max(1, _BLOCK_ENTRIES // ((1 << high) * f.k + (1 << low)))
+    for lo in range(0, plus.shape[0], step):
+        p = plus[lo : lo + step].T
+        partial = np.einsum("hlk,lx->hkx", table, _sign_weights(p[:low]))
+        out[lo : lo + step] = np.einsum("hx,hkx->xk", _sign_weights(p[low:]), partial)
+    return out
 
 
 @dataclass

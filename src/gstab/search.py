@@ -388,25 +388,63 @@ class TableStrategy:
             idx = idx * self.m + symbols[:, i]
         return self.table[idx]
 
-    def marginals(self, marginal: np.ndarray) -> np.ndarray:
-        w = np.ones(1)
-        for _ in range(self.n_coords):
-            w = np.kron(w, marginal)
-        out = np.zeros(self.k)
-        np.add.at(out, self.table - 1, w)
-        return out
+
+NCD_PAIR_GUARD = 10_000_000  # strategy pairs one word length may enumerate
+_BLOCK_ENTRIES = 1 << 20  # array entries per enumeration block
 
 
-def _word_weights(P: JointDist, n: int) -> np.ndarray:
-    w = np.ones((1, 1))
+def _word_law(law: np.ndarray, n: int) -> np.ndarray:
+    """Law of length-n words from a per-symbol law (marginal or joint)."""
+    w = np.ones((1,) * law.ndim)
     for _ in range(n):
-        w = np.kron(w, P.P)
+        w = np.kron(w, law)
     return w
 
 
-def _all_tables(m: int, n: int, k: int):
-    for assignment in itertools.product(range(1, k + 1), repeat=m**n):
-        yield np.asarray(assignment, dtype=np.int64)
+def _feasible_tables(words: int, k: int, weights: np.ndarray, target, delta: float, step: int):
+    """Label tables on ``words`` words whose cell masses lie within delta
+    (l1) of target, yielded in blocks of at most ``step`` candidates as
+    rows of 0-based labels.
+
+    Candidate t is the t-th table of itertools.product(range(k),
+    repeat=words): the first word is its most significant base-k digit.
+    """
+    count = k**words
+    powers = k ** np.arange(words - 1, -1, -1, dtype=np.int64)
+    for start in range(0, count, step):
+        t = np.arange(start, min(start + step, count), dtype=np.int64)
+        tables = (t[:, None] // powers) % k
+        masses = np.einsum("twk,w->tk", np.eye(k)[tables], weights)
+        yield tables[np.abs(masses - target).sum(axis=1) <= delta + 1e-12]
+
+
+def _ncd_tables(P: JointDist, mu, nu, k: int, n: int, delta: float):
+    """Exhaustive enumeration of strategy pairs on words of length n.
+
+    Yields (tf, tg, agree) in row blocks: tf and tg hold the marginal-
+    feasible label tables (0-based, in itertools.product order) of each
+    side, and agree[i, j] = Pr[f(X^n) = g(Y^n)] exactly for f = tf[i],
+    g = tg[j].  The blocks continue one another in the row order of f;
+    each lifts its one-hot f stack through the word law with one
+    contraction and meets the g stack in one more.  Raises ValueError
+    before enumerating more than NCD_PAIR_GUARD pairs.
+    """
+    words_a, words_b = P.mA**n, P.mB**n
+    if k**words_a * k**words_b > NCD_PAIR_GUARD:
+        raise ValueError("enumeration guard: too many strategy pairs")
+    W = _word_law(P.P, n)
+    tg = np.concatenate(list(_feasible_tables(
+        words_b, k, _word_law(P.marginal_b(), n), nu, delta,
+        max(1, _BLOCK_ENTRIES // (words_b * k)),
+    )))
+    if not len(tg):
+        return
+    G = np.eye(k)[tg].reshape(len(tg), -1)
+    step = max(1, _BLOCK_ENTRIES // (max(words_a, words_b, len(tg)) * k))
+    for tf in _feasible_tables(words_a, k, _word_law(P.marginal_a(), n), mu, delta, step):
+        if len(tf):
+            lifted = np.einsum("xy,fxk->fyk", W, np.eye(k)[tf])
+            yield tf, tg, np.einsum("fr,gr->fg", lifted.reshape(len(tf), -1), G)
 
 
 def ncd_brute_oracle(P: JointDist, mu, nu, k: int, n: int, delta: float) -> float:
@@ -419,32 +457,9 @@ def ncd_brute_oracle(P: JointDist, mu, nu, k: int, n: int, delta: float) -> floa
     """
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    count_f = k ** (P.mA**n)
-    count_g = k ** (P.mB**n)
-    if count_f * count_g > 10_000_000:
-        raise ValueError("enumeration guard: too many strategy pairs")
-    wa = P.marginal_a()
-    wb = P.marginal_b()
-    W = _word_weights(P, n)
-    fs = []
-    for table in _all_tables(P.mA, n, k):
-        strat = TableStrategy(table, P.mA, n, k)
-        if np.abs(strat.marginals(wa) - mu).sum() <= delta + 1e-12:
-            onehot = np.zeros((P.mA**n, k))
-            onehot[np.arange(table.size), table - 1] = 1.0
-            fs.append(onehot)
-    gs = []
-    for table in _all_tables(P.mB, n, k):
-        strat = TableStrategy(table, P.mB, n, k)
-        if np.abs(strat.marginals(wb) - nu).sum() <= delta + 1e-12:
-            onehot = np.zeros((P.mB**n, k))
-            onehot[np.arange(table.size), table - 1] = 1.0
-            gs.append(onehot)
     best = 0.0
-    for fo in fs:
-        lifted = W.T @ fo  # (words_B, k): joint mass of {f = label} per y-word
-        for go in gs:
-            best = max(best, float(np.sum(lifted * go)))
+    for _, _, agree in _ncd_tables(P, mu, nu, k, n, delta):
+        best = max(best, float(agree.max()))
     return best
 
 
@@ -464,10 +479,12 @@ def ncd_decide(
     and agreement at least kappa - delta.
 
     Word lengths n <= min(n_max, 2) are searched exhaustively with exact
-    probability sums; if that fails and n_max allows, a block-embedded
-    Gaussian construction (measure-matched slab partitions on the maximal
-    correlation coordinates) is scored by simulation.  "not-found" means
-    the search failed, not that no protocol exists.
+    probability sums, under the oracle's enumeration guard; the first pair
+    in enumeration order (f, then g) that meets the threshold is returned.
+    If that fails and n_max allows, a block-embedded Gaussian construction
+    (measure-matched slab partitions on the maximal correlation
+    coordinates) is scored by simulation.  "not-found" means the search
+    failed, not that no protocol exists; it reports the first best pair.
     """
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -481,35 +498,18 @@ def ncd_decide(
     best_pair = (None, None)
     best_n = None
     for n in range(1, min(n_max, 2) + 1):
-        wa, wb = P.marginal_a(), P.marginal_b()
-        W = _word_weights(P, n)
-        fs = [
-            (t, TableStrategy(t, P.mA, n, k))
-            for t in _all_tables(P.mA, n, k)
-        ]
-        fs = [(t, s) for t, s in fs if np.abs(s.marginals(wa) - mu).sum() <= delta + 1e-12]
-        gs = [
-            (t, TableStrategy(t, P.mB, n, k))
-            for t in _all_tables(P.mB, n, k)
-        ]
-        gs = [(t, s) for t, s in gs if np.abs(s.marginals(wb) - nu).sum() <= delta + 1e-12]
-        for tf, sf in fs:
-            f_onehot = np.zeros((P.mA**n, k))
-            f_onehot[np.arange(tf.size), tf - 1] = 1.0
-            lifted = W.T @ f_onehot
-            for tg, sg in gs:
-                agree = float(
-                    sum(lifted[i, tg[i] - 1] for i in range(tg.size))
-                )
-                if agree > best_val:
-                    best_val = agree
-                    best_pair = (sf, sg)
-                    best_n = n
-                    best_detail = f"exhaustive tables at n={n}"
-                if agree >= kappa - delta:
-                    return NcdDecision(
-                        True, agree, 0.0, sf, sg, n, f"exhaustive tables at n={n}"
-                    )
+        detail = f"exhaustive tables at n={n}"
+        for tf, tg, agree in _ncd_tables(P, mu, nu, k, n, delta):
+            hits = agree >= kappa - delta
+            # first hit in row-major order, else the block's first maximum
+            i, j = np.unravel_index(
+                np.argmax(hits) if hits.any() else np.argmax(agree), agree.shape
+            )
+            pair = (TableStrategy(tf[i] + 1, P.mA, n, k), TableStrategy(tg[j] + 1, P.mB, n, k))
+            if hits[i, j]:
+                return NcdDecision(True, float(agree[i, j]), 0.0, *pair, n, detail)
+            if agree[i, j] > best_val:
+                best_val, best_pair, best_n, best_detail = float(agree[i, j]), pair, n, detail
     if n_max > 2 and k == 2:
         basis = correlation_basis(P)
         fpart = Slabs(0, [_quantile(mu[0])], [1, 2], n=1)

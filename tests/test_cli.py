@@ -191,6 +191,35 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_arithmetic_error_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        from gstab import cli
+        from gstab.chaos import PolyGauss
+        from gstab.partitions import MultiPTF
+
+        def fail(p, q):
+            raise ArithmeticError("product variance exceeded the upper bound")
+
+        monkeypatch.setattr(cli, "variance_bounds", fail)
+        polys = [PolyGauss.from_hermite_coeffs(1, {(1,): s}) for s in (1.0, -1.0)]
+        path = tmp_path / "ptf.json"
+        path.write_text(partition_to_json(MultiPTF(polys)))
+        code = cli_dispatch(["tensor", "--partition", str(path), "--op", "variance-bounds"])
+        assert code == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+    def test_ncd_enumeration_guard_is_usage_error(self, tmp_path, capsys):
+        from gstab.product_space import JointDist
+
+        dist = tmp_path / "diag3.json"
+        dist.write_text(JointDist(np.diag([1 / 3] * 3)).to_json())
+        third = json.dumps([1 / 3] * 3)
+        code = cli_dispatch(
+            ["ncd", "--dist", str(dist), "--mu", third, "--nu", third,
+             "--kappa", "2.0", "--delta", "0.01"]
+        )
+        assert code == 2
+        assert "enumeration guard" in capsys.readouterr().err
+
     def test_module_entry_point(self, halfspace_file):
         proc = subprocess.run(
             [sys.executable, "-m", "gstab.cli", "stability", "--partition",

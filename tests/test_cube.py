@@ -1,4 +1,5 @@
 """Walsh analysis and voting rules on the discrete cube."""
+import json
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ class TestWalshTransform:
     def test_dictator_support(self):
         f = make_voting_rule("dictator", 3, 2)
         coeffs = walsh_transform(f)
-        for S, c in coeffs.items():
+        for S, c in enumerate(coeffs):
             mass = float(np.dot(c, c))
             if S in (0, 1):
                 assert mass > 0.2
@@ -57,7 +58,7 @@ class TestWalshTransform:
         table = rng.integers(1, 4, size=16)
         f = CubeFn(4, 3, table)
         coeffs = walsh_transform(f)
-        mass = sum(float(np.dot(c, c)) for c in coeffs.values())
+        mass = sum(float(np.dot(c, c)) for c in coeffs)
         assert mass == pytest.approx(1.0, abs=1e-12)  # one-hot embedding
 
 
@@ -77,11 +78,17 @@ class TestStability:
         )
 
     def test_random_function_vs_exhaustive(self, rng):
-        f = CubeFn(5, 3, rng.integers(1, 4, size=32))
-        for rho in (0.0, 0.3, 0.8):
-            assert cube_stability(f, rho) == pytest.approx(
-                cube_stability_bruteforce(f, rho), abs=1e-12
-            )
+        for n in range(1, 9):
+            for k in (2, 3, 4):
+                f = CubeFn(n, k, rng.integers(1, k + 1, size=1 << n))
+                for rho in (-1.0, -0.4, 0.0, 0.6, 1.0):
+                    assert cube_stability(f, rho) == pytest.approx(
+                        cube_stability_bruteforce(f, rho), abs=1e-12
+                    )
+                # influence of the simplex embedding: Pr[f(x) != f(x^i)] / 2
+                idx = np.arange(1 << n)
+                flips = [0.5 * np.mean(f.table != f.table[idx ^ (1 << i)]) for i in range(n)]
+                np.testing.assert_allclose(cube_influences(f), flips, atol=1e-12)
 
     def test_parity_weakest_balanced_rule(self):
         rho = 0.5
@@ -117,7 +124,7 @@ class TestInfluences:
         f = CubeFn(4, 3, rng.integers(1, 4, size=16))
         coeffs = walsh_transform(f)
         expect = sum(
-            bin(S).count("1") * float(np.dot(c, c)) for S, c in coeffs.items()
+            bin(S).count("1") * float(np.dot(c, c)) for S, c in enumerate(coeffs)
         )
         assert cube_influences(f).sum() == pytest.approx(expect, abs=1e-12)
 
@@ -155,6 +162,17 @@ class TestVotingRules:
         back = CubeFn.from_json(f.to_json())
         assert back.n == 5 and back.k == 2
         np.testing.assert_array_equal(back.table, f.table)
+
+    def test_json_round_trip_wide_labels(self):
+        # labels above 255 no longer fit the default uint8 packing
+        table = np.array([1, 300, 2, 3])
+        f = CubeFn(2, 300, table)
+        doc = json.loads(f.to_json())
+        assert doc["dtype"] == "<u2"
+        back = CubeFn.from_json(f.to_json())
+        assert back.k == 300
+        np.testing.assert_array_equal(back.table, table)
+        assert "dtype" not in json.loads(make_voting_rule("majority", 3, 2).to_json())
 
     def test_size_guard(self):
         with pytest.raises(ValueError):

@@ -147,6 +147,19 @@ class TestSmoothedValues:
         Y = rng.standard_normal((1_000_000, 3))
         mc = float(np.mean(f.labels(rho * x + sig * Y) == 1))
         assert sm[0] == pytest.approx(mc, abs=4 * math.sqrt(0.25 / 1_000_000))
+        # against the product over coordinates summed point by point; at
+        # n = 12 the points span more than one block of the contraction
+        from gstab.cube import CubeFn
+
+        for n, k, count in ((1, 2, 50), (4, 3, 50), (7, 4, 50), (12, 3, 5000)):
+            g = Tabulated(CubeFn(n, k, rng.integers(1, k + 1, 1 << n)))
+            X = rng.standard_normal((count, n))
+            plus = ndtr(rho * X / sig)
+            expect = np.zeros((count, k))
+            for point in range(1 << n):
+                bits = (point >> np.arange(n)) & 1
+                expect[:, g.cube.table[point] - 1] += np.prod(np.where(bits, plus, 1.0 - plus), axis=1)
+            np.testing.assert_allclose(smoothed_partition_values(g, 0.5, X), expect, rtol=0, atol=1e-12)
 
     def test_values_in_simplex(self, rng):
         f = equal_slabs(3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gstab.partitions import estimate_cell_stability, quad_joint_cells_1d
-from gstab.product_space import JointDist, binary_symmetric
+from gstab.product_space import JointDist, binary_symmetric, exact_correlation
 from gstab.search import (
     CoverSizeError,
     SearchConfig,
@@ -117,6 +117,38 @@ def _equal_slabs3():
     return equal_slabs(3)
 
 
+def _pair_loop_optimum(P, mu, nu, k, n, delta):
+    """Best exact agreement over feasible table pairs, one pair at a time."""
+    import itertools
+
+    W = np.ones((1, 1))
+    for _ in range(n):
+        W = np.kron(W, P.P)
+
+    def feasible(words, weights, target):
+        for table in itertools.product(range(k), repeat=words):
+            mass = np.zeros(k)
+            np.add.at(mass, list(table), weights)
+            if np.abs(mass - target).sum() <= delta + 1e-12:
+                yield table
+
+    fs = list(feasible(W.shape[0], W.sum(axis=1), mu))
+    gs = list(feasible(W.shape[1], W.sum(axis=0), nu))
+    best = 0.0
+    for tf in fs:
+        for tg in gs:
+            best = max(best, sum(W[x, y] for x in range(W.shape[0]) for y in range(W.shape[1]) if tf[x] == tg[y]))
+    return best
+
+
+def _witness_agreement(dec, P):
+    """Exact Pr[f(X^n) = g(Y^n)] of a decision's table witnesses."""
+    n, k = dec.n_used, dec.witness_f.k
+    f = np.eye(k)[dec.witness_f.table - 1].reshape((P.mA,) * n + (k,))
+    g = np.eye(k)[dec.witness_g.table - 1].reshape((P.mB,) * n + (k,))
+    return exact_correlation(f, g, P, n)
+
+
 class TestNcdOracle:
     def test_diagonal_source(self):
         P = JointDist(np.diag([0.5, 0.5]))
@@ -157,18 +189,54 @@ class TestNcdDecide:
     def test_achieved_matches_oracle(self, rng):
         # not-found instances must report exactly the exhaustive optimum;
         # feasible ones must meet the threshold they claim
-        searched = 0
-        for _ in range(10):
-            M = rng.random((2, 2)) + 0.05
-            P = JointDist(M / M.sum())
-            mu = [0.5, 0.5]
-            got = ncd_decide(P, mu, mu, kappa=2.0, delta=0.3, n_max=2)
-            oracle = ncd_brute_oracle(P, mu, mu, 2, 2, 0.3)
-            assert not got.feasible
-            assert got.achieved == pytest.approx(oracle, abs=1e-9)
-            if got.n_used is not None:
-                searched += 1
-        assert searched >= 5  # the sweep must exercise real instances
+        for m in (2, 3):
+            searched = 0
+            for _ in range(10):
+                M = rng.random((m, m)) + 0.05
+                P = JointDist(M / M.sum())
+                mu = [0.5, 0.5]
+                got = ncd_decide(P, mu, mu, kappa=2.0, delta=0.3, n_max=2)
+                oracle = ncd_brute_oracle(P, mu, mu, 2, 2, 0.3)
+                # the pair loop is cheap at n = 2 on binary sources only
+                loop_n = 2 if m == 2 else 1
+                assert ncd_brute_oracle(P, mu, mu, 2, loop_n, 0.3) == pytest.approx(
+                    _pair_loop_optimum(P, mu, mu, 2, loop_n, 0.3), abs=1e-12
+                )
+                assert not got.feasible
+                assert got.achieved == pytest.approx(oracle, abs=1e-9)
+                if got.n_used is not None:
+                    searched += 1
+                    assert _witness_agreement(got, P) == pytest.approx(got.achieved, abs=1e-12)
+                    # a threshold the optimum clears must be met by the witness
+                    kappa = oracle + 0.15
+                    dec = ncd_decide(P, mu, mu, kappa=kappa, delta=0.3, n_max=2)
+                    assert dec.feasible
+                    exact = _witness_agreement(dec, P)
+                    assert exact == pytest.approx(dec.achieved, abs=1e-12)
+                    assert exact >= kappa - 0.3
+            assert searched >= 5  # the sweep must exercise real instances
+
+    def test_first_hit_in_enumeration_order(self):
+        # anti-correlated source: the first feasible pair (identity tables,
+        # agreement 0.2) clears the threshold before the optimum (0.8)
+        P = JointDist(np.array([[0.1, 0.4], [0.4, 0.1]]))
+        dec = ncd_decide(P, [0.5, 0.5], [0.5, 0.5], kappa=0.35, delta=0.25)
+        assert dec.feasible and dec.n_used == 1
+        assert dec.achieved == pytest.approx(0.2, abs=1e-12)
+        np.testing.assert_array_equal(dec.witness_g.table, [1, 2])
+
+    def test_enumeration_guard_per_word_length(self):
+        P = JointDist(np.diag([1 / 3] * 3))
+        mu = [1 / 3] * 3
+        # decided by the identity tables at n = 1, before n = 2 is reached
+        dec = ncd_decide(P, mu, mu, kappa=1.0, delta=0.01)
+        assert dec.feasible and dec.n_used == 1
+        assert dec.achieved == pytest.approx(1.0)
+        # n = 2 would enumerate 3^9 tables per side
+        with pytest.raises(ValueError, match="enumeration guard"):
+            ncd_decide(P, mu, mu, kappa=2.0, delta=0.01)
+        with pytest.raises(ValueError, match="enumeration guard"):
+            ncd_brute_oracle(P, mu, mu, 3, 2, 0.01)
 
     def test_block_mode_reaches_gaussian_value(self):
         # kappa between the n<=2 optimum shape and the Gaussian halfspace
