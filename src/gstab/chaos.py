@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gauss import batch_sizes, gaussian_rng, mean_se
 from .tensors import (
     SymmetricTensor,
     basis_tensor,
@@ -536,27 +537,24 @@ class ProductEstimate:
     samples: int
 
 
-def _mc_stream(families, samples: int, seed: int, batch: int, dtype):
+def _mc_stream(families, samples: int, seed: int, batch: int):
     """Accumulate per-family product values over one shared sample stream."""
     n = families[0][0].n
     for fam in families:
         if any(p.n != n for p in fam):
             raise ValueError("family members live on different dimensions")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    rng = gaussian_rng(seed)
     sums = np.zeros(len(families))
     sums_sq = np.zeros(len(families))
     diff_sum = 0.0
     diff_sq = 0.0
-    done = 0
-    while done < samples:
-        mcount = min(batch, samples - done)
-        X = rng.standard_normal((mcount, n), dtype=dtype)
+    for mcount in batch_sizes(samples, batch):
+        X = rng.standard_normal((mcount, n))
         prods = []
         for idx, fam in enumerate(families):
             vals = fam[0].eval_many(X)
             for member in fam[1:]:
                 vals = vals * member.eval_many(X)
-            vals = vals.astype(np.float64, copy=False)
             sums[idx] += vals.sum()
             sums_sq[idx] += (vals**2).sum()
             prods.append(vals)
@@ -564,25 +562,18 @@ def _mc_stream(families, samples: int, seed: int, batch: int, dtype):
             d = prods[0] - prods[1]
             diff_sum += d.sum()
             diff_sq += (d**2).sum()
-        done += mcount
     return sums, sums_sq, diff_sum, diff_sq
 
 
-def product_expectation_mc(
-    family, samples: int, seed: int, batch: int = 1 << 16, dtype=np.float64
-) -> ProductEstimate:
+def product_expectation_mc(family, samples: int, seed: int, batch: int = 1 << 16) -> ProductEstimate:
     """Monte Carlo estimate of E[prod_i p_i] over the shared dimension."""
     if not family:
         raise ValueError("family must be nonempty")
-    sums, sums_sq, _, _ = _mc_stream([list(family)], samples, seed, batch, dtype)
-    mean = sums[0] / samples
-    var = max(sums_sq[0] / samples - mean**2, 0.0)
-    return ProductEstimate(mean, math.sqrt(var / samples), samples)
+    sums, sums_sq, _, _ = _mc_stream([list(family)], samples, seed, batch)
+    return ProductEstimate(*mean_se(sums[0], sums_sq[0], samples), samples)
 
 
-def product_difference_mc(
-    family_a, family_b, samples: int, seed: int, batch: int = 1 << 16, dtype=np.float64
-) -> ProductEstimate:
+def product_difference_mc(family_a, family_b, samples: int, seed: int, batch: int = 1 << 16) -> ProductEstimate:
     """Paired estimate of E[prod family_a] - E[prod family_b].
 
     Both products are evaluated on the same sample stream, so the reported
@@ -590,12 +581,8 @@ def product_difference_mc(
     """
     if not family_a or not family_b:
         raise ValueError("families must be nonempty")
-    _, _, diff_sum, diff_sq = _mc_stream(
-        [list(family_a), list(family_b)], samples, seed, batch, dtype
-    )
-    mean = diff_sum / samples
-    var = max(diff_sq / samples - mean**2, 0.0)
-    return ProductEstimate(mean, math.sqrt(var / samples), samples)
+    _, _, diff_sum, diff_sq = _mc_stream([list(family_a), list(family_b)], samples, seed, batch)
+    return ProductEstimate(*mean_se(diff_sum, diff_sq, samples), samples)
 
 
 def pair_block_weights(bp: BlockPoly) -> tuple[tuple[tuple[int, int], ...], np.ndarray] | None:
@@ -658,13 +645,11 @@ def pair_block_product_difference(
         for pair, weight in zip(pairs, w):
             W[slot_of[pair], col] = weight
     na = len(family_a)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    rng = gaussian_rng(seed)
     diff_sum = 0.0
     diff_sq = 0.0
-    done = 0
     scale = 1.0 / (2.0 * math.sqrt(kappa))
-    while done < samples:
-        m = min(batch, samples - done)
+    for m in batch_sizes(samples, batch):
         S = (rng.chisquare(kappa, (m, L)) - rng.chisquare(kappa, (m, L))) * scale
         vals = S @ W  # (m, members)
         prod_a = vals[:, :na].prod(axis=1)
@@ -672,7 +657,4 @@ def pair_block_product_difference(
         d = prod_a - prod_b
         diff_sum += float(d.sum())
         diff_sq += float((d**2).sum())
-        done += m
-    mean = diff_sum / samples
-    var = max(diff_sq / samples - mean**2, 0.0)
-    return ProductEstimate(mean, math.sqrt(var / samples), samples)
+    return ProductEstimate(*mean_se(diff_sum, diff_sq, samples), samples)

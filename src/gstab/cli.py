@@ -22,6 +22,7 @@ from .chaos import eigenregularity, poly_product, variance_bounds
 from .cube import cube_influences, cube_stability, make_voting_rule
 from .hermite import expand, spectral_weights
 from .partitions import (
+    Halfspace,
     MultiPTF,
     estimate_cell_stability,
     estimate_stability,
@@ -95,7 +96,7 @@ def _emit(args, result: dict) -> None:
         rows = _flatten(doc)
         text = "key,value\n" + "\n".join(f"{k},{_fmt(v)}" for k, v in rows) + "\n"
     else:
-        text = json.dumps(doc, indent=2, sort_keys=True, default=_fmt) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, default=_fmt, allow_nan=False) + "\n"
     if outputs:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -140,7 +141,7 @@ def _cmd_stability(args):
         "agreement": est.value,
         "std_error": est.std_error,
         "samples": est.samples,
-        "t": est.t,
+        "t": est.t if math.isfinite(est.t) else None,  # rho = 0: t is infinite
     }
     if args.cell:
         cell = estimate_cell_stability(f, args.cell, None, args.samples, args.seed, rho=rho)
@@ -153,23 +154,17 @@ def _cmd_stability(args):
 def _cmd_borell_check(args):
     rho = _rho_args(args)
     rng = np.random.default_rng(args.seed)
+    half = float(np.trace(quad_joint_cells_1d(Halfspace([0.0], [1.0]), rho)))
     rows = []
     violations = 0
     for trial in range(args.trials):
         f = random_balanced_slabs(rng, k=2, pieces=args.pieces)
         est = estimate_stability(f, None, args.samples, args.seed + trial + 1, rho=rho)
-        half = float(np.trace(quad_joint_cells_1d(random_halfspace(), rho)))
         gap = half - est.value
         if gap < -6 * est.std_error:
             violations += 1
         rows.append({"trial": trial, "stability": est.value, "halfspace": half, "gap": gap})
     _emit(args, {"rows": rows, "violations": violations})
-
-
-def random_halfspace():
-    from .partitions import Halfspace
-
-    return Halfspace([0.0], [1.0])
 
 
 def _cmd_round(args):

@@ -41,6 +41,11 @@ __all__ = [
     "gauss_hermite_rule",
     "tensor_grid",
     "sample_pairs",
+    "gaussian_rng",
+    "batch_sizes",
+    "binomial_se",
+    "mean_se",
+    "label_measures",
 ]
 
 MAX_TENSOR_GRID_DIM = 4
@@ -50,30 +55,26 @@ def hermite_eval(q: int, x):
     """Orthonormal Hermite value H_q(x); x may be a scalar or ndarray."""
     if q < 0:
         raise ValueError("Hermite degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if q == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for j in range(1, q):
-        h, h_prev = (x * h - np.sqrt(j) * h_prev) / np.sqrt(j + 1), h
+    h = hermite_table(q, np.asarray(x, dtype=float))[q]
     return h if h.ndim else float(h)
 
 
 def hermite_table(max_degree: int, x: np.ndarray) -> np.ndarray:
     """All values H_0(x)..H_max(x), stacked along a leading axis.
 
-    Returns an array of shape (max_degree+1,) + x.shape; used by the
-    expansion and chaos-evaluation loops to avoid recomputing the
-    recurrence per index.
+    Returns an array of shape (max_degree+1,) + x.shape in the floating
+    dtype of x (float64 for other inputs); the one evaluation of the
+    three-term recurrence, shared by every caller.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((max_degree + 1,) + x.shape)
+    x = np.asarray(x)
+    if not np.issubdtype(x.dtype, np.floating):
+        x = x.astype(float)
+    out = np.empty((max_degree + 1,) + x.shape, dtype=x.dtype)
     out[0] = 1.0
     if max_degree >= 1:
         out[1] = x
     for j in range(1, max_degree):
-        out[j + 1] = (x * out[j] - np.sqrt(j) * out[j - 1]) / np.sqrt(j + 1)
+        out[j + 1] = (x * out[j] - math.sqrt(j) * out[j - 1]) / math.sqrt(j + 1)
     return out
 
 
@@ -218,15 +219,10 @@ class CorrelatedSampler:
         if abs(self.rho) > 1.0:
             raise ValueError("|rho| must be <= 1")
 
-    def _rng(self) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
-        )
-
     def pairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         if count < 1:
             raise ValueError("count must be >= 1")
-        rng = self._rng()
+        rng = gaussian_rng(self.seed, self.stream)
         x = rng.standard_normal((count, self.dimension))
         z = rng.standard_normal((count, self.dimension))
         y = self.rho * x + np.sqrt(1.0 - self.rho**2) * z
@@ -234,15 +230,12 @@ class CorrelatedSampler:
 
     def pair_batches(self, count: int, batch: int = 1 << 19):
         """Yield (X, Y) blocks covering ``count`` pairs, deterministically."""
-        rng = self._rng()
+        rng = gaussian_rng(self.seed, self.stream)
         sigma = np.sqrt(1.0 - self.rho**2)
-        done = 0
-        while done < count:
-            m = min(batch, count - done)
+        for m in batch_sizes(count, batch):
             x = rng.standard_normal((m, self.dimension))
             z = rng.standard_normal((m, self.dimension))
             yield x, self.rho * x + sigma * z
-            done += m
 
     def substream(self, index: int) -> "CorrelatedSampler":
         return CorrelatedSampler(self.dimension, self.rho, self.seed, index)
@@ -253,11 +246,46 @@ def sample_pairs(s: CorrelatedSampler, count: int):
     return s.pairs(count)
 
 
+# ---------------------------------------------------------------------------
+# Monte Carlo core: every seeded estimator draws from gaussian_rng, walks its
+# samples in batch_sizes blocks and reports binomial_se or mean_se
+
+
 def gaussian_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Shared construction for plain (uncorrelated) seeded generators."""
+    """The seeded generator of stream ``stream``; the one seed -> stream map."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     )
+
+
+def batch_sizes(total: int, batch: int):
+    """Sizes of consecutive blocks of at most ``batch`` covering ``total``."""
+    for start in range(0, total, batch):
+        yield min(batch, total - start)
+
+
+def binomial_se(p, n: int, floor: float = 0.0):
+    """Standard error sqrt(max(p (1 - p), floor) / n) of a frequency p over
+    n draws; p may be an array.  A positive floor keeps degenerate
+    frequencies (0 or 1) from reporting a zero error."""
+    var = p * (1.0 - p)
+    if floor:
+        var = np.maximum(var, floor)
+    se = np.sqrt(var / n)
+    return float(se) if se.ndim == 0 else se
+
+
+def mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
+    """Sample mean and its standard error from the sum and the sum of
+    squares of n draws."""
+    mean = total / n
+    var = max(total_sq / n - mean**2, 0.0)
+    return mean, math.sqrt(var / n)
+
+
+def label_measures(labels: np.ndarray, k: int) -> np.ndarray:
+    """Empirical cell measures of a batch of labels in 1..k."""
+    return np.bincount(labels, minlength=k + 1)[1:] / labels.shape[0]
 
 
 def multisets(dim: int, order: int):

@@ -31,7 +31,14 @@ from scipy.special import ndtr, ndtri
 
 from .chaos import PolyGauss
 from .cube import CubeFn
-from .gauss import CorrelatedSampler, gauss_hermite_rule, gaussian_rng
+from .gauss import (
+    CorrelatedSampler,
+    batch_sizes,
+    binomial_se,
+    gauss_hermite_rule,
+    gaussian_rng,
+    hermite_table,
+)
 from .tensors import SymmetricTensor
 
 __all__ = [
@@ -141,12 +148,6 @@ class Halfspace(PartitionFn):
 
     def payload(self) -> dict:
         return {"a": self.a.tolist(), "b": self.b.tolist()}
-
-    def as_slabs(self) -> "Slabs":
-        """Equivalent slab description along the unit normal direction."""
-        norm = float(np.linalg.norm(self.b))
-        cut = float(np.dot(self.a, self.b)) / norm
-        return Slabs(0, [cut], [1, 2], n=1)
 
 
 class Slabs(PartitionFn):
@@ -309,15 +310,11 @@ def estimate_measures(f: PartitionFn, samples: int, seed: int, batch: int = DEFA
         raise ValueError("samples must be >= 100")
     rng = gaussian_rng(seed)
     counts = np.zeros(f.k)
-    done = 0
-    while done < samples:
-        m = min(batch, samples - done)
+    for m in batch_sizes(samples, batch):
         lab = f.labels(rng.standard_normal((m, f.n)))
         counts += np.bincount(lab, minlength=f.k + 1)[1:]
-        done += m
     mu = counts / samples
-    se = np.sqrt(mu * (1.0 - mu) / samples)
-    return MeasureVector(mu, se)
+    return MeasureVector(mu, binomial_se(mu, samples))
 
 
 def _agreement(f, g, t, rho, samples, seed, batch, cell=None):
@@ -331,8 +328,7 @@ def _agreement(f, g, t, rho, samples, seed, batch, cell=None):
         else:
             hits += int(np.count_nonzero((lx == cell) & (ly == cell)))
     value = hits / samples
-    se = math.sqrt(value * (1.0 - value) / samples)
-    return StabEstimate(value, se, samples, t, seed)
+    return StabEstimate(value, binomial_se(value, samples), samples, t, seed)
 
 
 def estimate_stability(f: PartitionFn, t: float | None, samples: int, seed: int, rho: float | None = None, batch: int = DEFAULT_BATCH) -> StabEstimate:
@@ -360,14 +356,10 @@ def collision_probability(f: MultiPTF, samples: int, seed: int, batch: int = DEF
         raise ValueError("collision probability is defined for PTF partitions")
     rng = gaussian_rng(seed)
     hits = 0
-    done = 0
-    while done < samples:
-        m = min(batch, samples - done)
+    for m in batch_sizes(samples, batch):
         hits += int(np.count_nonzero(f.collisions(rng.standard_normal((m, f.n)))))
-        done += m
     value = hits / samples
-    se = math.sqrt(value * (1.0 - value) / samples)
-    return StabEstimate(value, se, samples, 0.0, seed)
+    return StabEstimate(value, binomial_se(value, samples), samples, 0.0, seed)
 
 
 def balance(f: MultiPTF, delta: float) -> MultiPTF:
@@ -479,7 +471,6 @@ def _interval_hermite_coeffs(a: float, b: float, max_degree: int) -> np.ndarray:
     Uses d/dx [H_{q-1}(x) phi(x)] = -sqrt(q) H_q(x) phi(x), so
     E[1_(a,b] H_q] = (H_{q-1}(a) phi(a) - H_{q-1}(b) phi(b)) / sqrt(q).
     """
-    from .gauss import hermite_table
 
     def weighted_h(x):
         if np.isinf(x):

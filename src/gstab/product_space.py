@@ -20,6 +20,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from .gauss import batch_sizes, binomial_se, gaussian_rng
 from .partitions import PartitionFn
 
 __all__ = [
@@ -76,9 +77,7 @@ class JointDist:
 
     def sample(self, count: int, coords: int, seed: int, stream: int = 0):
         """(count, coords) i.i.d. symbol-pair arrays (xs, ys)."""
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-        )
+        rng = gaussian_rng(seed, stream)
         flat = self.P.reshape(-1)
         idx = rng.choice(flat.size, size=(count, coords), p=flat)
         return idx // self.mB, idx % self.mB
@@ -365,25 +364,19 @@ def estimate_discrete_corr(
     k = fstrat.k
     coords = max(fstrat.n_coords, gstrat.n_coords)
     joint = np.zeros((k, k))
-    done = 0
-    stream = 0
-    while done < samples:
-        m = min(batch, samples - done)
+    for stream, m in enumerate(batch_sizes(samples, batch)):
         xs, ys = P.sample(m, coords, seed, stream)
         lf = fstrat(xs[:, : fstrat.n_coords])
         lg = gstrat(ys[:, : gstrat.n_coords])
         np.add.at(joint, (lf - 1, lg - 1), 1.0)
-        done += m
-        stream += 1
     joint /= samples
     agreement = float(np.trace(joint))
-    se = math.sqrt(agreement * (1 - agreement) / samples)
     return DiscreteCorrReport(
         marginals_f=joint.sum(axis=1),
         marginals_g=joint.sum(axis=0),
         joint=joint,
         agreement=agreement,
-        agreement_se=se,
+        agreement_se=binomial_se(agreement, samples),
         samples=samples,
         seed=seed,
     )

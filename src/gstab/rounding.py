@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .chaos import PolyGauss
-from .gauss import CorrelatedSampler, gaussian_rng
+from .gauss import CorrelatedSampler, binomial_se, gaussian_rng, label_measures
 from .hermite import expand, ou_on_points
 from .partitions import (
     Callback,
@@ -281,23 +281,21 @@ def stability_of_rounding(
     X, Y = sampler.pairs(samples)
     lf_x, lf_y = f.labels(X), f.labels(Y)
     stab_f = float(np.mean(lf_x == lf_y))
-    se_f = math.sqrt(stab_f * (1 - stab_f) / samples)
-    target = np.bincount(lf_x, minlength=f.k + 1)[1:] / samples
+    target = label_measures(lf_x, f.k)
     FX = smoothed_partition_values(f, t, X, quad_order)
     FY = smoothed_partition_values(f, t, Y, quad_order)
     search = _match_threshold_on_values(FX, target, tol, max_iter)
     gx = round_values(FX, search.z)
     gy = round_values(FY, search.z)
     stab_g = float(np.mean(gx == gy))
-    se_g = math.sqrt(stab_g * (1 - stab_g) / samples)
     cross = float(np.mean(gx == lf_y))
-    measures_g = np.bincount(gx, minlength=f.k + 1)[1:] / samples
+    measures_g = label_measures(gx, f.k)
     slack = float(np.abs(measures_g - target).sum())
     return RoundingReport(
         stab_f=stab_f,
         stab_g=stab_g,
-        se_f=se_f,
-        se_g=se_g,
+        se_f=binomial_se(stab_f, samples),
+        se_g=binomial_se(stab_g, samples),
         z=search.z,
         measures_f=target,
         measures_g=measures_g,
@@ -387,9 +385,9 @@ def ptf_from_truncation(
     return TruncationReport(
         ptf=g,
         disagreement=dis,
-        disagreement_se=math.sqrt(dis * (1 - dis) / samples),
+        disagreement_se=binomial_se(dis, samples),
         collision=col,
-        collision_se=math.sqrt(col * (1 - col) / samples),
+        collision_se=binomial_se(col, samples),
         tail_mass=max(tail, 0.0),
         bound=k**2 * max(tail, 0.0),
     )

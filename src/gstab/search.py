@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chaos import PolyGauss
-from .gauss import CorrelatedSampler
+from .gauss import CorrelatedSampler, binomial_se, gaussian_rng, label_measures
 from .hermite import degree_indices
 from .partitions import MultiPTF, PartitionFn, Slabs
 from .product_space import (
@@ -204,61 +204,56 @@ def optimize_stability(cfg: SearchConfig) -> SearchResult:
     return _optimize_local(cfg, X, Y)
 
 
-def _score(f: PartitionFn, X, Y, target, tol):
+def _score(f: PartitionFn, X, Y, target):
+    """(stability, measures, l1 measure gap) of f on the shared pairs."""
     lx, ly = f.labels(X), f.labels(Y)
-    mu = np.bincount(lx, minlength=f.k + 1)[1:] / X.shape[0]
-    feasible = float(np.abs(mu - target).sum()) <= tol
-    value = float(np.mean(lx == ly))
-    return value, mu, feasible
+    mu = label_measures(lx, f.k)
+    return float(np.mean(lx == ly)), mu, float(np.abs(mu - target).sum())
 
 
 def _optimize_grid(cfg: SearchConfig, X, Y) -> SearchResult:
     best = None
+    closest = None  # fallback: smallest measure gap, earliest on ties
     trace = []
     evals = 0
     for cand in enumerate_cover(cfg.k, cfg.n0, cfg.d, cfg.coeff_bound, cfg.step):
         if evals >= cfg.budget:
             break
-        value, mu, feasible = _score(cand, X, Y, cfg.target_mu, cfg.measure_tol)
+        value, mu, gap = _score(cand, X, Y, cfg.target_mu)
         evals += 1
-        se = math.sqrt(max(value * (1 - value), 1e-12) / cfg.samples)
-        trace.append((evals, _poly_signature(cand), value, se))
-        if feasible and (best is None or value > best[0]):
+        trace.append((evals, _poly_signature(cand), value, binomial_se(value, cfg.samples, 1e-12)))
+        if gap <= cfg.measure_tol and (best is None or value > best[0]):
             best = (value, cand, mu)
-    if best is None:
-        # infeasible within budget: report the closest-measure candidate
-        fallback = min(
-            (
-                (float(np.abs(_score(c, X, Y, cfg.target_mu, cfg.measure_tol)[1] - cfg.target_mu).sum()), i, c)
-                for i, c in enumerate(
-                    itertools.islice(
-                        enumerate_cover(cfg.k, cfg.n0, cfg.d, cfg.coeff_bound, cfg.step),
-                        cfg.budget,
-                    )
-                )
-            ),
-            key=lambda item: (item[0], item[1]),
-        )[2]
-        value, mu, _ = _score(fallback, X, Y, cfg.target_mu, cfg.measure_tol)
-        se = math.sqrt(value * (1 - value) / cfg.samples)
-        return SearchResult(fallback, value, se, mu, evals, False, trace)
-    value, cand, mu = best
-    se = math.sqrt(value * (1 - value) / cfg.samples)
-    return SearchResult(cand, value, se, mu, evals, True, trace)
+        if closest is None or gap < closest[0]:
+            closest = (gap, value, cand, mu)
+    if best is not None:
+        value, cand, mu = best
+        return SearchResult(cand, value, binomial_se(value, cfg.samples), mu, evals, True, trace)
+    if closest is None:
+        raise ValueError("the PTF cover is empty")
+    # infeasible within budget: report the closest-measure candidate
+    _, value, cand, mu = closest
+    return SearchResult(cand, value, binomial_se(value, cfg.samples), mu, evals, False, trace)
 
 
 def _rounded_candidate(cfg: SearchConfig, ptf: MultiPTF, X, Y):
+    """(feasible, stability, measures, threshold search) of the smooth-
+    then-round image of ptf; tuples compare feasible first."""
     FX = smoothed_partition_values(ptf, cfg.t, X, cfg.quad_order)
     FY = smoothed_partition_values(ptf, cfg.t, Y, cfg.quad_order)
     search = _match_threshold_on_values(FX, cfg.target_mu, cfg.measure_tol, 200)
     gx = round_values(FX, search.z)
     gy = round_values(FY, search.z)
-    mu = np.bincount(gx, minlength=cfg.k + 1)[1:] / X.shape[0]
-    value = float(np.mean(gx == gy))
-    return value, mu, search
+    mu = label_measures(gx, cfg.k)
+    feasible = float(np.abs(mu - cfg.target_mu).sum()) <= cfg.measure_tol
+    return feasible, float(np.mean(gx == gy)), mu, search
+
 
 def _optimize_local(cfg: SearchConfig, X, Y) -> SearchResult:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
+    """Coordinate descent over PTF coefficients.  Candidates rank by
+    (feasible, stability): a matched candidate beats any unmatched one,
+    both when keeping the best and when accepting a step."""
+    rng = gaussian_rng(cfg.seed, 1)
     indices = [S for S in degree_indices(cfg.n0, cfg.d) if sum(S) >= 1]
     dim = len(indices) + 1
 
@@ -284,11 +279,12 @@ def _optimize_local(cfg: SearchConfig, X, Y) -> SearchResult:
             break
         vec = rng.standard_normal(cfg.k * dim)
         step = 0.5
-        value, mu, search = _rounded_candidate(cfg, build(vec), X, Y)
+        ptf = build(vec)
+        cur = _rounded_candidate(cfg, ptf, X, Y)
         evals += 1
-        trace.append((evals, "restart", value, math.sqrt(max(value * (1 - value), 1e-12) / cfg.samples)))
-        if best is None or value > best[0]:
-            best = (value, build(vec), mu, search)
+        trace.append((evals, "restart", cur[1], binomial_se(cur[1], cfg.samples, 1e-12)))
+        if best is None or cur[:2] > best[0][:2]:
+            best = (cur, ptf)
         improved = True
         while improved and evals < cfg.budget and step > 1e-3:
             improved = False
@@ -298,24 +294,22 @@ def _optimize_local(cfg: SearchConfig, X, Y) -> SearchResult:
                         break
                     cand_vec = vec.copy()
                     cand_vec[i] += sign * step
-                    cand = build(cand_vec)
-                    cval, cmu, csearch = _rounded_candidate(cfg, cand, X, Y)
+                    cand_ptf = build(cand_vec)
+                    cand = _rounded_candidate(cfg, cand_ptf, X, Y)
                     evals += 1
-                    trace.append((evals, "step", cval, math.sqrt(max(cval * (1 - cval), 1e-12) / cfg.samples)))
-                    if cval > value:
-                        vec, value, mu, search = cand_vec, cval, cmu, csearch
+                    trace.append((evals, "step", cand[1], binomial_se(cand[1], cfg.samples, 1e-12)))
+                    if cand[:2] > cur[:2]:
+                        vec, cur = cand_vec, cand
                         improved = True
-                        if cval > best[0]:
-                            best = (cval, build(cand_vec), cmu, csearch)
+                        if cand[:2] > best[0][:2]:
+                            best = (cand, cand_ptf)
                         break
             if not improved:
                 step *= 0.5
                 improved = True
-    value, ptf, mu, search = best
+    (feasible, value, mu, search), ptf = best
     rounded = _RoundedPartition(ptf, cfg.t, search.z.z, cfg.quad_order)
-    se = math.sqrt(value * (1 - value) / cfg.samples)
-    feasible = float(np.abs(mu - cfg.target_mu).sum()) <= cfg.measure_tol
-    return SearchResult(rounded, value, se, mu, evals, feasible, trace)
+    return SearchResult(rounded, value, binomial_se(value, cfg.samples), mu, evals, feasible, trace)
 
 
 class _RoundedPartition(PartitionFn):

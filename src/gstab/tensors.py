@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import multisets
+from .gauss import hermite_table, multisets
 
 __all__ = [
     "SymmetricTensor",
@@ -223,24 +223,12 @@ def ito_eval(h: SymmetricTensor, x) -> float:
     return float(ito_eval_many(h, x[None, :])[0])
 
 
-def _hermite_column(x: np.ndarray, m: int) -> np.ndarray:
-    """H_m over one coordinate column, preserving the input dtype."""
-    if m == 0:
-        return np.ones_like(x)
-    if m == 1:
-        return x
-    h_prev = np.ones_like(x)
-    h = x
-    for j in range(1, m):
-        h, h_prev = (x * h - math.sqrt(j) * h_prev) / math.sqrt(j + 1), h
-    return h
-
-
 def ito_eval_many(h: SymmetricTensor, X: np.ndarray) -> np.ndarray:
     """I_q(h) over an (N, dim) batch of points.
 
     Only coordinates appearing in nonzero entries are touched, so sparse
-    tensors on wide batches stay cheap.
+    tensors on wide batches stay cheap; each touched coordinate gets one
+    Hermite table up to its largest multiplicity, in the dtype of X.
     """
     X = np.atleast_2d(np.asarray(X))
     if not np.issubdtype(X.dtype, np.floating):
@@ -249,21 +237,19 @@ def ito_eval_many(h: SymmetricTensor, X: np.ndarray) -> np.ndarray:
         raise ValueError("batch dimension does not match tensor dimension")
     if h.order == 0:
         return np.full(X.shape[0], float(h.array), dtype=X.dtype)
-    cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def hval(m: int, i: int) -> np.ndarray:
-        key = (m, i)
-        if key not in cache:
-            cache[key] = _hermite_column(np.ascontiguousarray(X[:, i]), m)
-        return cache[key]
-
+    terms = _chaos_terms(h)
+    top: dict[int, int] = {}
+    for mult, _ in terms:
+        for i, m in mult.items():
+            top[i] = max(top.get(i, 0), m)
+    tables = {i: hermite_table(m, X[:, i]) for i, m in top.items()}
     out = np.zeros(X.shape[0], dtype=X.dtype)
-    for mult, coeff in _chaos_terms(h):
+    for mult, coeff in terms:
         items = iter(mult.items())
         i0, m0 = next(items)
-        term = coeff * hval(m0, i0)
+        term = coeff * tables[i0][m0]
         for i, m in items:
-            term = term * hval(m, i)
+            term = term * tables[i][m]
         out += term
     return out
 

@@ -60,6 +60,20 @@ class TestStabilityCommand:
         _, out2 = run_cli(args, capsys)
         assert out1 == out2
 
+    def test_independent_noise_emits_strict_json(self, halfspace_file, capsys):
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        code, out = run_cli(
+            ["stability", "--partition", halfspace_file, "--rho", "0",
+             "--samples", "2000"],
+            capsys,
+        )
+        assert code == 0
+        res = json.loads(out, parse_constant=reject)["result"]
+        assert res["t"] is None
+        assert res["agreement"] == pytest.approx(0.5, abs=5 * res["std_error"])
+
     def test_csv_format(self, halfspace_file, capsys):
         code, out = run_cli(
             ["stability", "--partition", halfspace_file, "--rho", "0.5",

@@ -101,6 +101,21 @@ class TestOptimizeStability:
         assert res.feasible
         assert res.stability >= slabs_baseline - 0.01
 
+    def test_local_mode_prefers_feasible_candidates(self):
+        # on this seed the restart and its first step round every point to
+        # label 1 (stability 1, unmatchable); the second step matches
+        cfg = SearchConfig(
+            k=3, n0=2, d=1, t=math.log(2), target_mu=[1 / 3] * 3,
+            measure_tol=0.02, budget=3, mode="random-restart-local", seed=30,
+            samples=3000, quad_order=16,
+        )
+        res = optimize_stability(cfg)
+        assert [v for _, _, v, _ in res.trace][:2] == [1.0, 1.0]
+        assert res.feasible
+        assert np.abs(res.measures - cfg.target_mu).sum() <= cfg.measure_tol
+        assert res.stability == res.trace[2][2]
+        assert res.stability < 1.0
+
     def test_config_round_trip(self):
         cfg = SearchConfig(
             k=2, n0=1, d=1, t=0.5, target_mu=[0.5, 0.5],
