@@ -21,6 +21,7 @@ import numpy as np
 from .gauss import batch_sizes, gaussian_rng, mean_se
 from .tensors import (
     SymmetricTensor,
+    _chaos_terms,
     basis_tensor,
     flattening_top_singular_value,
     ito_eval_many,
@@ -140,34 +141,40 @@ class PolyGauss:
             raise ValueError("cannot normalize a zero-variance polynomial")
         return self.scale(1.0 / math.sqrt(v))
 
+    def hermite_coeffs(self) -> dict[tuple[int, ...], float]:
+        """Hermite coefficients {multi-index S: c} with p = sum_S c H_S.
+
+        The inverse of ``from_hermite_coeffs``; zero coefficients are
+        left out, so the zero polynomial gives an empty dict.
+        """
+        out: dict[tuple[int, ...], float] = {}
+        if self.constant != 0.0:
+            out[(0,) * self.n] = self.constant
+        for t in self.chaos.values():
+            for mult, coeff in _chaos_terms(t):
+                out[tuple(mult.get(i, 0) for i in range(self.n))] = coeff
+        return out
+
     def to_monomial(self) -> dict[tuple[int, ...], float]:
         """Exponent-vector form; the independent evaluation cross-check."""
         herm = _hermite_monomial_coeffs(self.degree)
         out: dict[tuple[int, ...], float] = {}
-        if self.constant != 0.0:
-            out[(0,) * self.n] = self.constant
-        for q, t in self.chaos.items():
-            for ms, v in t.entries():
-                mult: dict[int, int] = {}
-                for i in ms:
-                    mult[i] = mult.get(i, 0) + 1
-                weight = math.factorial(q)
-                for m in mult.values():
-                    weight //= math.factorial(m)
-                coeff = v * math.sqrt(weight)
-                terms = [((0,) * self.n, coeff)]
-                for i, m in mult.items():
-                    new_terms = []
-                    for exps, c in terms:
-                        for power, hc in enumerate(herm[m]):
-                            if hc == 0.0:
-                                continue
-                            e = list(exps)
-                            e[i] += power
-                            new_terms.append((tuple(e), c * hc))
-                    terms = new_terms
+        for S, coeff in self.hermite_coeffs().items():
+            terms = [((0,) * self.n, coeff)]
+            for i, m in enumerate(S):
+                if not m:
+                    continue
+                new_terms = []
                 for exps, c in terms:
-                    out[exps] = out.get(exps, 0.0) + c
+                    for power, hc in enumerate(herm[m]):
+                        if hc == 0.0:
+                            continue
+                        e = list(exps)
+                        e[i] += power
+                        new_terms.append((tuple(e), c * hc))
+                terms = new_terms
+            for exps, c in terms:
+                out[exps] = out.get(exps, 0.0) + c
         return {e: c for e, c in out.items() if c != 0.0}
 
     def eval_monomial(self, x) -> float:

@@ -71,8 +71,12 @@ def _manifest(args, outputs) -> dict:
 
 
 def _flatten(doc, prefix=""):
+    """(dotted key, leaf) rows of a JSON document; an empty list or dict
+    is a leaf, written as an empty field like null."""
     rows = []
-    if isinstance(doc, dict):
+    if isinstance(doc, (dict, list, tuple)) and not doc:
+        rows.append((prefix[:-1], None))
+    elif isinstance(doc, dict):
         for key in sorted(doc):
             rows.extend(_flatten(doc[key], f"{prefix}{key}."))
     elif isinstance(doc, (list, tuple)):
@@ -84,6 +88,8 @@ def _flatten(doc, prefix=""):
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)

@@ -48,7 +48,7 @@ __all__ = [
     "label_measures",
 ]
 
-MAX_TENSOR_GRID_DIM = 4
+MAX_QUADRATURE_DIM = 3  # largest n for tensor-product rules over R^n
 
 
 def hermite_eval(q: int, x):
@@ -184,9 +184,9 @@ def tensor_grid(rule: QuadratureRule, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if n > MAX_TENSOR_GRID_DIM:
+    if n > MAX_QUADRATURE_DIM:
         raise ValueError(
-            f"tensor-product quadrature limited to n <= {MAX_TENSOR_GRID_DIM}; "
+            f"tensor-product quadrature limited to n <= {MAX_QUADRATURE_DIM}; "
             "use Monte Carlo estimators for higher dimensions"
         )
     grids = np.meshgrid(*([rule.nodes] * n), indexing="ij")
@@ -259,9 +259,16 @@ def gaussian_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def batch_sizes(total: int, batch: int):
-    """Sizes of consecutive blocks of at most ``batch`` covering ``total``."""
-    for start in range(0, total, batch):
-        yield min(batch, total - start)
+    """Sizes of consecutive blocks of at most ``batch`` covering ``total``.
+
+    Raises ValueError at once when ``total`` (the sample count of an
+    estimator) or ``batch`` is below 1.
+    """
+    if total < 1:
+        raise ValueError(f"samples must be >= 1, got {total}")
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    return (min(batch, total - start) for start in range(0, total, batch))
 
 
 def binomial_se(p, n: int, floor: float = 0.0):

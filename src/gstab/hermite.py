@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import gauss_hermite_rule, hermite_table, tensor_grid
+from .gauss import MAX_QUADRATURE_DIM, gauss_hermite_rule, hermite_table, tensor_grid
 
 __all__ = [
     "HermiteExpansion",
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 COEFF_DROP = 1e-14
-MAX_QUADRATURE_DIM = 3
 
 
 def eval_vector_function(f, points: np.ndarray, k: int | None = None) -> np.ndarray:

@@ -14,6 +14,7 @@ iteration on empirical measures with common random numbers.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +23,16 @@ import numpy as np
 from scipy.special import ndtr
 
 from .chaos import PolyGauss
-from .gauss import CorrelatedSampler, binomial_se, gaussian_rng, label_measures
+from .gauss import (
+    MAX_QUADRATURE_DIM,
+    CorrelatedSampler,
+    binomial_se,
+    gauss_hermite_rule,
+    gaussian_rng,
+    hermite_table,
+    label_measures,
+    tensor_grid,
+)
 from .hermite import expand, ou_on_points
 from .partitions import (
     Callback,
@@ -170,9 +180,13 @@ def smoothed_partition_values(f: PartitionFn, t: float, X: np.ndarray, quad_orde
     location and scale.  Sign-table partitions factor per coordinate, so
     their smoothing is a contraction of the table with the per-point
     orthant probabilities.
-    Everything else integrates the defining formula on a tensor-product
-    rule, which caps the dimension and converges slowly across cell
-    boundaries; prefer the structured variants where accuracy matters.
+    Multivariate PTFs (n <= MAX_QUADRATURE_DIM) integrate the defining
+    formula on the order-``quad_order`` tensor rule, with the defining
+    polynomials split by the Hermite addition formula into point-side
+    and node-side tables (see _smooth_ptf); everything else integrates it
+    on the same rule by evaluating f at every node.  Both quadrature
+    routes cap the dimension and converge slowly across cell boundaries;
+    prefer the structured variants where accuracy matters.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if t < 0:
@@ -186,6 +200,8 @@ def smoothed_partition_values(f: PartitionFn, t: float, X: np.ndarray, quad_orde
         return form.cell_probs(rho * (X @ form.direction), scale)
     if isinstance(f, Tabulated) and f.n <= 12:
         return _smooth_sign_table(f, ndtr(rho * X / scale))
+    if isinstance(f, MultiPTF) and f.n <= MAX_QUADRATURE_DIM:
+        return _smooth_ptf(f, rho, scale, X, quad_order)
     return ou_on_points(lambda P: f.onehot(P), t, X, quad_order=quad_order, k=f.k)
 
 
@@ -218,6 +234,71 @@ def _smooth_sign_table(f: Tabulated, plus: np.ndarray) -> np.ndarray:
         p = plus[lo : lo + step].T
         partial = np.einsum("hlk,lx->hkx", table, _sign_weights(p[:low]))
         out[lo : lo + step] = np.einsum("hx,hkx->xk", _sign_weights(p[low:]), partial)
+    return out
+
+
+_PAIR_BLOCK_ENTRIES = 1 << 16  # (point, polynomial, node) entries per block
+
+
+def _addition_tables(f: MultiPTF, rho: float, sigma: float, nodes: np.ndarray):
+    """Split p_j(rho x + sigma y) = sum_T H_T(x) g_{j,T}(y) on the nodes y.
+
+    Per coordinate, H_m(rho x + sigma y) = sum_{i<=m} sqrt(C(m, i))
+    rho^i sigma^(m-i) H_i(x) H_(m-i)(y), so with p_j = sum_S c_{j,S} H_S
+
+        g_{j,T}(y) = sum_{S >= T} c_{j,S} prod_i sqrt(C(S_i, T_i))
+                     rho^T_i sigma^(S_i - T_i) H_(S_i - T_i)(y_i).
+
+    Returns the (B, n) multi-indices T and the (B, k * M) node table,
+    column j * M + m holding g_{j,T} at node m.
+    """
+    deg = f.degree
+    table = hermite_table(deg, nodes)  # (deg + 1, M, n)
+    split = [
+        [math.sqrt(math.comb(m, i)) * rho**i * sigma ** (m - i) for i in range(m + 1)]
+        for m in range(deg + 1)
+    ]
+    cols: dict[tuple[int, ...], np.ndarray] = {}
+    for j, p in enumerate(f.polys):
+        for S, c in p.hermite_coeffs().items():
+            for T in itertools.product(*(range(s + 1) for s in S)):
+                col = c
+                for i, (s, r) in enumerate(zip(S, T)):
+                    col = col * (split[s][r] * table[s - r, :, i])
+                cols.setdefault(T, np.zeros((f.k, nodes.shape[0])))[j] += col
+    index = np.array(list(cols), dtype=np.intp).reshape(-1, f.n)
+    return index, np.array(list(cols.values())).reshape(len(cols), f.k * nodes.shape[0])
+
+
+def _smooth_ptf(f: MultiPTF, rho: float, sigma: float, X: np.ndarray, quad_order: int) -> np.ndarray:
+    """sum_m w_m onehot(f(rho x + sigma y_m)) over the order-``quad_order``
+    tensor rule, for each row x of X.
+
+    The k polynomial values at every (point, node) pair are one
+    contraction of the point-side Hermite products H_T(x) with the
+    node-side table of _addition_tables, so no PTF is evaluated at the
+    shifted points.  Labels follow MultiPTF.labels (label j when p_j
+    alone is positive, else 1), and each label's node weights are summed
+    per point.  Points go in blocks of about _PAIR_BLOCK_ENTRIES
+    (point, polynomial, node) entries.
+    """
+    if X.shape[1] != f.n:
+        raise ValueError("batch dimension does not match the partition")
+    nodes, weights = tensor_grid(gauss_hermite_rule(quad_order), f.n)
+    index, G = _addition_tables(f, rho, sigma, nodes)
+    axes = np.arange(f.n)
+    deg = f.degree
+    out = np.empty((X.shape[0], f.k))
+    step = max(1, _PAIR_BLOCK_ENTRIES // (f.k * weights.shape[0]))
+    for lo in range(0, X.shape[0], step):
+        table = hermite_table(deg, X[lo : lo + step]).transpose(1, 0, 2)
+        hx = table[:, index, axes].prod(axis=2)  # (points, B)
+        pos = (np.einsum("xb,bm->xm", hx, G) > 0.0).reshape(hx.shape[0], f.k, -1)
+        single = pos.sum(axis=1, dtype=np.int16) == 1
+        block = out[lo : lo + step]
+        block[:, 0] = np.einsum("xm,m->x", ~single | pos[:, 0], weights)
+        for j in range(1, f.k):
+            block[:, j] = np.einsum("xm,m->x", single & pos[:, j], weights)
     return out
 
 

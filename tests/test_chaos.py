@@ -83,6 +83,65 @@ class TestPolyGauss:
         expect = sum(c * hermite_multi_eval(S, x) for S, c in coeffs.items())
         assert p.eval(x) == pytest.approx(expect, abs=1e-12)
 
+    def test_hermite_coeffs_inverts_from_hermite_coeffs(self, rng):
+        coeffs = {(0, 0): 0.3, (1, 0): -0.4, (1, 1): 0.25, (2, 0): 0.6, (3, 1): 0.1}
+        back = PolyGauss.from_hermite_coeffs(2, coeffs).hermite_coeffs()
+        assert set(back) == set(coeffs)
+        for S, c in coeffs.items():
+            assert back[S] == pytest.approx(c, rel=1e-15)
+        for n in (1, 2, 3):
+            p = random_quadratic_poly(rng, n)
+            q = PolyGauss.from_hermite_coeffs(n, p.hermite_coeffs())
+            assert q.constant == p.constant
+            assert set(q.chaos) == set(p.chaos)
+            for order, t in p.chaos.items():
+                np.testing.assert_allclose(q.chaos[order].array, t.array, rtol=1e-15, atol=0)
+        assert PolyGauss(2, {}, 0.0).hermite_coeffs() == {}
+
+    def test_to_monomial_unchanged(self, rng):
+        # linear and unit-variance quadratic polynomials as the benchmark
+        # builds them, plus higher-degree ones, against the expansion loop
+        # that to_monomial ran before it read hermite_coeffs
+        polys = []
+        for n in (1, 2, 3):
+            polys.append(PolyGauss(n, {1: SymmetricTensor.from_array(rng.standard_normal(n))}, float(rng.normal(scale=0.5))))
+            polys.append(random_quadratic_poly(rng, n))
+        polys.append(PolyGauss.from_hermite_coeffs(2, {(0, 0): 0.1, (4, 0): 0.5, (2, 2): -0.3, (1, 3): 0.2}))
+        polys.append(PolyGauss.from_hermite_coeffs(3, {(1, 1, 1): 0.7, (0, 2, 3): -0.2}))
+        for p in polys:
+            assert p.to_monomial() == _to_monomial_reference(p)
+
+
+def _to_monomial_reference(p: PolyGauss) -> dict:
+    from gstab.chaos import _hermite_monomial_coeffs
+
+    herm = _hermite_monomial_coeffs(p.degree)
+    out = {}
+    if p.constant != 0.0:
+        out[(0,) * p.n] = p.constant
+    for q, t in p.chaos.items():
+        for ms, v in t.entries():
+            mult = {}
+            for i in ms:
+                mult[i] = mult.get(i, 0) + 1
+            weight = math.factorial(q)
+            for m in mult.values():
+                weight //= math.factorial(m)
+            terms = [((0,) * p.n, v * math.sqrt(weight))]
+            for i, m in mult.items():
+                new_terms = []
+                for exps, c in terms:
+                    for power, hc in enumerate(herm[m]):
+                        if hc == 0.0:
+                            continue
+                        e = list(exps)
+                        e[i] += power
+                        new_terms.append((tuple(e), c * hc))
+                terms = new_terms
+            for exps, c in terms:
+                out[exps] = out.get(exps, 0.0) + c
+    return {e: c for e, c in out.items() if c != 0.0}
+
 
 class TestProduct:
     def test_h1_squared(self):

@@ -86,6 +86,30 @@ class TestStabilityCommand:
         keys = {line.split(",")[0] for line in lines[1:]}
         assert "result.agreement" in keys
 
+    def test_csv_and_json_carry_the_same_keys(self, halfspace_file, capsys):
+        # rho = 0 puts a null (result.t) and the run has an empty list
+        # (manifest.outputs); both stay as keys with an empty field
+        args = ["stability", "--partition", halfspace_file, "--rho", "0",
+                "--samples", "2000"]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+
+        def leaves(doc, prefix=""):
+            if isinstance(doc, dict) and doc:
+                return {k for key, v in doc.items() for k in leaves(v, f"{prefix}{key}.")}
+            if isinstance(doc, list) and doc:
+                return {k for i, v in enumerate(doc) for k in leaves(v, f"{prefix}{i}.")}
+            return {prefix[:-1]}
+
+        json_keys = leaves(json.loads(out))
+        code, out = run_cli(args + ["--format", "csv"], capsys)
+        assert code == 0
+        rows = dict(line.split(",", 1) for line in out.strip().splitlines()[1:])
+        assert set(rows) == json_keys
+        assert rows["result.t"] == ""
+        assert rows["manifest.outputs"] == ""
+        assert rows["manifest.config_path"] == ""
+
     def test_output_file(self, halfspace_file, tmp_path, capsys):
         out_path = tmp_path / "res.json"
         code, _ = run_cli(
@@ -233,6 +257,15 @@ class TestExitCodes:
         )
         assert code == 2
         assert "enumeration guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_are_usage_errors(self, halfspace_file, samples, capsys):
+        code = cli_dispatch(
+            ["stability", "--partition", halfspace_file, "--rho", "0.5",
+             "--samples", samples]
+        )
+        assert code == 2
+        assert "samples must be >= 1" in capsys.readouterr().err
 
     def test_module_entry_point(self, halfspace_file):
         proc = subprocess.run(

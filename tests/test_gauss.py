@@ -5,6 +5,7 @@ import pytest
 from gstab.gauss import (
     CorrelatedSampler,
     HermiteIndex,
+    batch_sizes,
     gauss_hermite_rule,
     hermite_eval,
     hermite_multi_eval,
@@ -146,3 +147,45 @@ class TestCorrelatedSampler:
     def test_invalid_rho(self):
         with pytest.raises(ValueError):
             CorrelatedSampler(1, 1.5, 0)
+
+
+class TestSampleCountGuard:
+    """Every Monte Carlo estimator rejects a sample count below 1 before
+    it draws or divides."""
+
+    @staticmethod
+    def _estimators():
+        from gstab.chaos import (
+            GramSpec,
+            PolyGauss,
+            matched_family,
+            pair_block_product_difference,
+            product_expectation_mc,
+        )
+        from gstab.partitions import Halfspace, MultiPTF, collision_probability, estimate_stability
+        from gstab.product_space import binary_symmetric, block_strategy, correlation_basis, estimate_discrete_corr
+
+        half = Halfspace([0.0], [1.0])
+        ptf = MultiPTF([PolyGauss.from_hermite_coeffs(1, {(1,): s}) for s in (1.0, -1.0)])
+        P = binary_symmetric(0.5)
+        strat = block_strategy(half, correlation_basis(P).X[:, 1], 4)
+        fam, _ = matched_family(GramSpec({2: np.eye(3)}), 0.25)
+        return {
+            "stability": lambda s: estimate_stability(half, 0.5, s, 0),
+            "collision": lambda s: collision_probability(ptf, s, 0),
+            "discrete_corr": lambda s: estimate_discrete_corr(strat, strat, P, s, 0),
+            "product_mc": lambda s: product_expectation_mc(fam[:2], s, 0),
+            "pair_block": lambda s: pair_block_product_difference(fam[:2], fam[1:], s, 0),
+        }
+
+    @pytest.mark.parametrize("name", ["stability", "collision", "discrete_corr", "product_mc", "pair_block"])
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_rejected(self, name, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            self._estimators()[name](samples)
+
+    def test_batch_sizes_cover_the_total(self):
+        assert list(batch_sizes(10, 4)) == [4, 4, 2]
+        assert list(batch_sizes(1, 4)) == [1]
+        with pytest.raises(ValueError):
+            batch_sizes(5, 0)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
@@ -353,3 +355,57 @@ class TestSymmetricThreshold:
         )
         assert res.converged and res.iterations == 1
         np.testing.assert_array_equal(res.z.z, np.zeros(2))
+
+
+class TestPTFAdditionRoute:
+    """Multivariate PTF smoothing through the Hermite addition formula
+    against the node-by-node integral of the one-hot labels."""
+
+    @staticmethod
+    def _random_poly(rng, n, degree, constant_only):
+        from gstab.chaos import PolyGauss
+        from gstab.hermite import degree_indices
+
+        if constant_only:
+            return PolyGauss(n, {}, float(rng.normal()))
+        coeffs = {S: float(rng.normal()) for S in degree_indices(n, degree)}
+        return PolyGauss.from_hermite_coeffs(n, coeffs)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        degree=st.integers(1, 4),
+        k=st.integers(1, 3),
+        t=st.floats(0.05, 3.0),
+        quad_order=st.integers(2, 9),
+        constant_at=st.integers(-1, 2),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_node_by_node_integral(self, n, degree, k, t, quad_order, constant_at, seed):
+        from gstab.hermite import ou_on_points
+
+        rng = np.random.default_rng(seed)
+        f = MultiPTF([self._random_poly(rng, n, degree, j == constant_at) for j in range(k)])
+        X = rng.standard_normal((25, n))
+        fast = smoothed_partition_values(f, t, X, quad_order)
+        slow = ou_on_points(lambda P: f.onehot(P), t, X, quad_order=quad_order, k=k)
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fast.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_constant_polynomials(self):
+        from gstab.chaos import PolyGauss
+
+        X = np.random.default_rng(3).standard_normal((10, 2))
+        # p = 0 is not positive; two positive polynomials collide to label 1
+        for constants, label in (([0.0, 0.0], 1), ([-1.0, 0.0], 1), ([1.0, -1.0], 1), ([-1.0, 2.0], 2), ([1.0, 2.0], 1)):
+            f = MultiPTF([PolyGauss(2, {}, c) for c in constants])
+            expect = np.zeros((10, 2))
+            expect[:, label - 1] = 1.0
+            np.testing.assert_allclose(smoothed_partition_values(f, 0.5, X, 7), expect, rtol=0, atol=1e-12)
+
+    def test_dimension_cap(self):
+        from gstab.gauss import MAX_QUADRATURE_DIM
+
+        f = MultiPTF([self._random_poly(np.random.default_rng(0), MAX_QUADRATURE_DIM + 1, 1, False) for _ in range(2)])
+        with pytest.raises(ValueError):
+            smoothed_partition_values(f, 0.5, np.zeros((3, MAX_QUADRATURE_DIM + 1)), 4)
