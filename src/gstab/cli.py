@@ -126,8 +126,13 @@ class SystemExit2(Exception):
 
 
 def _load_partition(path: str):
+    """A partition file, or the JSON output of ``gstab search``, whose
+    result carries the best partition found."""
     with open(path) as fh:
-        return partition_from_json(fh.read())
+        doc = json.load(fh)
+    if "result" in doc:
+        doc = doc["result"]["best"]
+    return partition_from_json(json.dumps(doc))
 
 
 def _load_dist(path: str) -> JointDist:

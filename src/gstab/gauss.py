@@ -40,7 +40,6 @@ __all__ = [
     "hermite_multi_eval",
     "gauss_hermite_rule",
     "tensor_grid",
-    "sample_pairs",
     "gaussian_rng",
     "batch_sizes",
     "binomial_se",
@@ -239,11 +238,6 @@ class CorrelatedSampler:
 
     def substream(self, index: int) -> "CorrelatedSampler":
         return CorrelatedSampler(self.dimension, self.rho, self.seed, index)
-
-
-def sample_pairs(s: CorrelatedSampler, count: int):
-    """Draw ``count`` i.i.d. correlated pairs from sampler ``s``."""
-    return s.pairs(count)
 
 
 # ---------------------------------------------------------------------------

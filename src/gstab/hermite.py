@@ -47,14 +47,22 @@ def eval_vector_function(f, points: np.ndarray, k: int | None = None) -> np.ndar
     """Evaluate f on an (N, n) batch, returning (N, k).
 
     Accepts batched callables (preferred) returning (N,), (N, k) or scalar
-    rows; falls back to a per-row loop for plain scalar callables.
+    rows; falls back to a per-row loop for plain scalar callables, that is
+    when the batched call raises and the first row alone succeeds.
+    Otherwise the batched call's exception propagates.
     """
     n_pts = points.shape[0]
     try:
         vals = np.asarray(f(points), dtype=float)
     except Exception:
-        rows = [np.atleast_1d(np.asarray(f(points[i]), dtype=float)) for i in range(n_pts)]
-        vals = np.stack(rows, axis=0)
+        try:
+            rows = [f(points[0])]
+        except Exception:
+            rows = None
+        if rows is None:
+            raise
+        rows += [f(points[i]) for i in range(1, n_pts)]
+        vals = np.stack([np.atleast_1d(np.asarray(r, dtype=float)) for r in rows], axis=0)
     if vals.ndim == 1:
         if vals.shape[0] != n_pts:
             raise ValueError("function returned a shape incompatible with the batch")

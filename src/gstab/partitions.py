@@ -50,7 +50,6 @@ __all__ = [
     "Callback",
     "StabEstimate",
     "MeasureVector",
-    "eval_partition",
     "estimate_measures",
     "estimate_stability",
     "estimate_cell_stability",
@@ -113,7 +112,10 @@ class PartitionFn:
         raise NotImplementedError
 
     def label(self, x) -> int:
+        """Label of a single point."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape[0] != self.n:
+            raise ValueError(f"point dimension {x.shape[0]} != partition dimension {self.n}")
         return int(self.labels(x[None, :])[0])
 
     def onehot(self, X: np.ndarray) -> np.ndarray:
@@ -294,14 +296,6 @@ class Callback(PartitionFn):
 
     def payload(self) -> dict:
         raise ValueError("callback partitions are not serializable")
-
-
-def eval_partition(f: PartitionFn, x) -> int:
-    """Label of a single point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != f.n:
-        raise ValueError(f"point dimension {x.shape[0]} != partition dimension {f.n}")
-    return f.label(x)
 
 
 def estimate_measures(f: PartitionFn, samples: int, seed: int, batch: int = DEFAULT_BATCH) -> MeasureVector:
@@ -636,6 +630,17 @@ def partition_to_json(f: PartitionFn) -> str:
     return json.dumps({"kind": f.kind, "k": f.k, "n": f.n, "payload": f.payload()})
 
 
+def _ptf_from_payload(payload: dict) -> MultiPTF:
+    polys = []
+    for entry in payload["polys"]:
+        chaos = {}
+        for tdoc in entry["chaos"]:
+            t = SymmetricTensor.from_json(json.dumps(tdoc))
+            chaos[t.order] = t
+        polys.append(PolyGauss(payload["n"], chaos, entry["constant"]))
+    return MultiPTF(polys)
+
+
 def partition_from_json(text: str) -> PartitionFn:
     doc = json.loads(text)
     kind, payload = doc["kind"], doc["payload"]
@@ -647,14 +652,16 @@ def partition_from_json(text: str) -> PartitionFn:
             n=payload["n"], k=payload["k"],
         )
     if kind == "ptf":
-        polys = []
-        for entry in payload["polys"]:
-            chaos = {}
-            for tdoc in entry["chaos"]:
-                t = SymmetricTensor.from_json(json.dumps(tdoc))
-                chaos[t.order] = t
-            polys.append(PolyGauss(payload["n"], chaos, entry["constant"]))
-        return MultiPTF(polys)
+        return _ptf_from_payload(payload)
+    if kind == "rounded-ptf":
+        from .search import _RoundedPartition
+
+        f = _RoundedPartition(
+            _ptf_from_payload(payload["ptf"]), payload["t"], payload["z"], payload["quad_order"]
+        )
+        if payload["route"] != f.route:
+            raise ValueError(f"rounded PTF on n={f.n} smooths by {f.route!r}, not {payload['route']!r}")
+        return f
     if kind == "tabulated":
         return Tabulated(CubeFn.from_json(json.dumps(payload["cube"])))
     raise ValueError(f"unknown partition kind {kind!r}")

@@ -27,7 +27,7 @@ import numpy as np
 from .chaos import PolyGauss
 from .gauss import CorrelatedSampler, binomial_se, gaussian_rng, label_measures
 from .hermite import degree_indices
-from .partitions import MultiPTF, PartitionFn, Slabs
+from .partitions import MultiPTF, PartitionFn, Slabs, partition_to_json
 from .product_space import (
     JointDist,
     block_strategy,
@@ -50,6 +50,9 @@ __all__ = [
 
 class CoverSizeError(ValueError):
     """Raised when a requested PTF cover would exceed the budget guard."""
+
+
+COVER_GUARD = 200_000  # polynomials or candidates one cover may enumerate
 
 
 @dataclass
@@ -106,6 +109,7 @@ class SearchResult:
     def to_json(self) -> str:
         return json.dumps(
             {
+                "best": json.loads(partition_to_json(self.best)),
                 "stability": self.stability,
                 "stability_se": self.stability_se,
                 "measures": self.measures.tolist(),
@@ -146,8 +150,30 @@ def _grid_polynomials(n0: int, d: int, bound: float, step: float, guard: int) ->
     return list(seen.values())
 
 
+def _cover(k: int, n0: int, d: int, coeff_bound: float, step: float, guard: int):
+    """The cover in enumeration order: (polys, candidates).
+
+    ``polys`` are the distinct polynomials the cover is built from, and
+    ``candidates`` yields (f, idx) for each cover element f.  A k = 2 cover
+    of degree >= 1 pairs polys[idx] with its negation; every other f takes
+    label j's polynomial from polys[idx[j]].
+    """
+    if d == 0:
+        polys = [PolyGauss(n0, {}, 1.0), PolyGauss(n0, {}, -1.0)]
+        combos = (tuple(0 if i == j else 1 for i in range(k)) for j in range(k))
+    else:
+        polys = _grid_polynomials(n0, d, coeff_bound, step, guard)
+        if k == 2:
+            return polys, ((MultiPTF([p, p.scale(-1.0)]), i) for i, p in enumerate(polys))
+        total = len(polys) ** k
+        if total > guard:
+            raise CoverSizeError(f"cover size {total} exceeds guard {guard}")
+        combos = itertools.product(range(len(polys)), repeat=k)
+    return polys, ((MultiPTF([polys[i] for i in idx]), idx) for idx in combos)
+
+
 def enumerate_cover(
-    k: int, n0: int, d: int, coeff_bound: float, step: float, guard: int = 200_000
+    k: int, n0: int, d: int, coeff_bound: float, step: float, guard: int = COVER_GUARD
 ):
     """Yield canonical grid PTFs (degree d, k labels, n0 variables).
 
@@ -156,23 +182,9 @@ def enumerate_cover(
     redundant up to collisions); larger k takes the full product, subject
     to the size guard.
     """
-    if d == 0:
-        for j in range(k):
-            consts = [
-                PolyGauss(n0, {}, 1.0 if i == j else -1.0) for i in range(k)
-            ]
-            yield MultiPTF(consts)
-        return
-    polys = _grid_polynomials(n0, d, coeff_bound, step, guard)
-    if k == 2:
-        for p in polys:
-            yield MultiPTF([p, p.scale(-1.0)])
-        return
-    total = len(polys) ** k
-    if total > guard:
-        raise CoverSizeError(f"cover size {total} exceeds guard {guard}")
-    for combo in itertools.product(polys, repeat=k):
-        yield MultiPTF(list(combo))
+    _, candidates = _cover(k, n0, d, coeff_bound, step, guard)
+    for f, _ in candidates:
+        yield f
 
 
 def _poly_signature(f: MultiPTF) -> str:
@@ -191,7 +203,10 @@ def optimize_stability(cfg: SearchConfig) -> SearchResult:
 
     grid-cover mode scores every cover element on the shared sample pair
     stream and keeps the best whose empirical measures are within
-    measure_tol of the target (l1).  random-restart-local mode runs
+    measure_tol of the target (l1).  It evaluates each distinct cover
+    polynomial once per side and scores candidates from counts over the
+    resulting sign bitmaps, with outputs identical to labelling every
+    candidate in full.  random-restart-local mode runs
     coordinate descent on PTF coefficients, scoring each candidate through
     the smooth-then-round pipeline so its measures match the target by
     construction.
@@ -204,22 +219,58 @@ def optimize_stability(cfg: SearchConfig) -> SearchResult:
     return _optimize_local(cfg, X, Y)
 
 
-def _score(f: PartitionFn, X, Y, target):
-    """(stability, measures, l1 measure gap) of f on the shared pairs."""
-    lx, ly = f.labels(X), f.labels(Y)
-    mu = label_measures(lx, f.k)
-    return float(np.mean(lx == ly)), mu, float(np.abs(mu - target).sum())
+def _product_labels(positive: list[np.ndarray]) -> np.ndarray:
+    """MultiPTF labels from the positive sets of its polynomials: j where
+    p_j alone is positive, 1 elsewhere."""
+    count = positive[0].astype(np.uint8)
+    for pos in positive[1:]:
+        count += pos
+    alone = count == 1
+    labels = np.ones(alone.shape[0], dtype=np.uint8)
+    for j, pos in enumerate(positive[1:], start=2):
+        np.putmask(labels, pos & alone, j)
+    return labels
 
 
 def _optimize_grid(cfg: SearchConfig, X, Y) -> SearchResult:
+    """Score the cover on the shared pairs, one evaluation per polynomial
+    and side.
+
+    A pair [p, -p] labels 2 exactly where p < 0 (eval_many is odd in the
+    coefficients under round-to-nearest; zero and NaN values label 1, as
+    in MultiPTF.labels), so its stability and measures are sign counts.
+    Other covers cache the positive set of each polynomial, as bool
+    bitmaps rather than values, and label by the MultiPTF rule.
+    """
+    polys, candidates = _cover(cfg.k, cfg.n0, cfg.d, cfg.coeff_bound, cfg.step, COVER_GUARD)
+    n = X.shape[0]
+    positive = {}  # polynomial index -> (p > 0 on X, p > 0 on Y)
+
+    def positive_sets(i):
+        if i not in positive:
+            positive[i] = (polys[i].eval_many(X) > 0.0, polys[i].eval_many(Y) > 0.0)
+        return positive[i]
+
     best = None
     closest = None  # fallback: smallest measure gap, earliest on ties
     trace = []
     evals = 0
-    for cand in enumerate_cover(cfg.k, cfg.n0, cfg.d, cfg.coeff_bound, cfg.step):
+    for cand, idx in candidates:
         if evals >= cfg.budget:
             break
-        value, mu, gap = _score(cand, X, Y, cfg.target_mu)
+        if isinstance(idx, int):
+            negx = polys[idx].eval_many(X) < 0.0
+            negy = polys[idx].eval_many(Y) < 0.0
+            value = int(np.count_nonzero(negx == negy)) / n
+            c = int(np.count_nonzero(negx))
+            mu = np.array([n - c, c]) / n
+        else:
+            sets = [positive_sets(i) for i in idx]
+            lx = _product_labels([sx for sx, _ in sets])
+            ly = _product_labels([sy for _, sy in sets])
+            value = int(np.count_nonzero(lx == ly)) / n
+            mu = label_measures(lx, cfg.k)
+        gap = float(np.abs(mu - cfg.target_mu).sum())
         evals += 1
         trace.append((evals, _poly_signature(cand), value, binomial_se(value, cfg.samples, 1e-12)))
         if gap <= cfg.measure_tol and (best is None or value > best[0]):
@@ -313,7 +364,12 @@ def _optimize_local(cfg: SearchConfig, X, Y) -> SearchResult:
 
 
 class _RoundedPartition(PartitionFn):
-    """Threshold rounding of a smoothed PTF, packaged as a partition."""
+    """Threshold rounding of a smoothed PTF, packaged as a partition.
+
+    Its payload records the smoothing route, which follows from n: the
+    exact interval form in one dimension, the Hermite addition formula
+    on the tensor rule in two and three.
+    """
 
     kind = "rounded-ptf"
 
@@ -329,12 +385,17 @@ class _RoundedPartition(PartitionFn):
         vals = smoothed_partition_values(self.ptf, self.t, X, self.quad_order)
         return round_values(vals, self.z)
 
+    @property
+    def route(self) -> str:
+        return "interval" if self.n == 1 else "ptf-addition"
+
     def payload(self) -> dict:
         return {
             "t": self.t,
             "z": self.z.tolist(),
             "ptf": self.ptf.payload(),
             "quad_order": self.quad_order,
+            "route": self.route,
         }
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: dispatch, formats, exit codes, reproducibility."""
 import json
+import math
 import subprocess
 import sys
 
@@ -198,6 +199,29 @@ class TestOtherCommands:
         assert code == 0
         res = json.loads(out)["result"]
         assert res["feasible"]
+
+    def test_search_output_loads_as_partition(self, tmp_path, capsys):
+        from gstab.search import SearchConfig
+
+        cfg = SearchConfig(
+            k=2, n0=1, d=1, t=0.7, target_mu=[0.5, 0.5], measure_tol=0.02,
+            budget=30, mode="grid-cover", seed=5, samples=20_000,
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        out_path = tmp_path / "search.json"
+        assert run_cli(["search", "--config", str(cfg_path), "--out", str(out_path)], capsys)[0] == 0
+        found = json.loads(out_path.read_text())["result"]
+        assert found["best"]["kind"] == "ptf"
+        code, out = run_cli(
+            ["stability", "--partition", str(out_path), "--t", "0.7",
+             "--samples", "20000", "--seed", "9"],
+            capsys,
+        )
+        assert code == 0
+        res = json.loads(out)["result"]
+        se = math.hypot(res["std_error"], found["stability_se"])
+        assert res["agreement"] == pytest.approx(found["stability"], abs=5 * se)
 
 
 class TestExitCodes:

@@ -10,7 +10,6 @@ from gstab.gauss import (
     hermite_eval,
     hermite_multi_eval,
     hermite_table,
-    sample_pairs,
     tensor_grid,
 )
 
@@ -111,17 +110,17 @@ class TestQuadrature:
 
 class TestCorrelatedSampler:
     def test_rho_one_degenerate(self):
-        x, y = sample_pairs(CorrelatedSampler(3, 1.0, 11), 50)
+        x, y = CorrelatedSampler(3, 1.0, 11).pairs(50)
         assert np.array_equal(x, y)
 
     def test_rho_zero_independent(self):
-        x, y = sample_pairs(CorrelatedSampler(1, 0.0, 11), 40_000)
+        x, y = CorrelatedSampler(1, 0.0, 11).pairs(40_000)
         corr = np.corrcoef(x[:, 0], y[:, 0])[0, 1]
         assert abs(corr) <= 5 / np.sqrt(40_000)
 
     def test_empirical_correlation(self):
         count = 1_000_000
-        x, y = sample_pairs(CorrelatedSampler(2, 0.5, 3), count)
+        x, y = CorrelatedSampler(2, 0.5, 3).pairs(count)
         for i in range(2):
             emp = np.mean(x[:, i] * y[:, i])
             assert emp == pytest.approx(0.5, abs=5 / np.sqrt(count))

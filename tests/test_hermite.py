@@ -49,6 +49,23 @@ class TestExpand:
         with pytest.raises(ValueError):
             expand(lambda X: X[:, 0], 4, 2)
 
+    def test_scalar_callable_falls_back_to_rows(self):
+        # math.exp takes one number, so the batched call raises
+        e = expand(lambda x: math.exp(x[0]), 1, 4)
+        assert e.coeffs[(0,)][0] == pytest.approx(math.exp(0.5), abs=1e-6)
+
+    def test_failing_callable_raises_without_row_retry(self):
+        calls = []
+
+        def broken(X):
+            calls.append(X.shape)
+            raise RuntimeError(f"broken on {X.shape}")
+
+        # the batched call's error surfaces, not the first row's
+        with pytest.raises(RuntimeError, match=r"broken on \(1600, 2\)"):
+            expand(broken, 2, 3, quad_order=40)
+        assert len(calls) <= 2
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             expand(lambda X: np.where(X[:, 0] > 0, np.inf, 0.0), 1, 2)

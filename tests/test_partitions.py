@@ -20,7 +20,6 @@ from gstab.partitions import (
     estimate_cross_stability,
     estimate_measures,
     estimate_stability,
-    eval_partition,
     orthant_probability_quad,
     partition_from_json,
     partition_to_json,
@@ -40,19 +39,19 @@ def x1_poly(n=1):
 class TestEvalPartition:
     def test_halfspace_inside(self):
         f = Halfspace(np.zeros(2), np.array([1.0, 0.0]))
-        assert eval_partition(f, [-1.0, 3.0]) == 1
-        assert eval_partition(f, [0.5, -2.0]) == 2
+        assert f.label([-1.0, 3.0]) == 1
+        assert f.label([0.5, -2.0]) == 2
 
     def test_constant_ptf(self):
         f = MultiPTF([PolyGauss(1, {}, 1.0), PolyGauss(1, {}, -1.0)])
-        assert eval_partition(f, [0.3]) == 1
-        assert eval_partition(f, [-5.0]) == 1
+        assert f.label([0.3]) == 1
+        assert f.label([-5.0]) == 1
 
     def test_collision_fallback_label_one(self):
         f = MultiPTF([PolyGauss(1, {}, 1.0), PolyGauss(1, {}, 1.0)])
-        assert eval_partition(f, [2.0]) == 1
+        assert f.label([2.0]) == 1
         g = MultiPTF([PolyGauss(1, {}, -1.0), PolyGauss(1, {}, -1.0)])
-        assert eval_partition(g, [2.0]) == 1  # all-nonpositive also falls back
+        assert g.label([2.0]) == 1  # all-nonpositive also falls back
 
     def test_ptf_scaling_invariance(self, rng):
         polys = [random_quadratic_poly(rng, 2) for _ in range(3)]
@@ -70,7 +69,7 @@ class TestEvalPartition:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            eval_partition(Halfspace([0.0], [1.0]), [1.0, 2.0])
+            Halfspace([0.0], [1.0]).label([1.0, 2.0])
 
 
 class TestMeasures:

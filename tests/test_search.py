@@ -1,14 +1,25 @@
 """Cover enumeration, stability optimization, and the NCD decider."""
+import json
 import math
 
 import numpy as np
 import pytest
 
-from gstab.partitions import estimate_cell_stability, quad_joint_cells_1d
+from gstab.gauss import CorrelatedSampler, binomial_se, label_measures
+from gstab.partitions import (
+    MultiPTF,
+    estimate_cell_stability,
+    partition_from_json,
+    partition_to_json,
+    quad_joint_cells_1d,
+)
 from gstab.product_space import JointDist, binary_symmetric, exact_correlation
 from gstab.search import (
     CoverSizeError,
     SearchConfig,
+    SearchResult,
+    _optimize_grid,
+    _poly_signature,
     enumerate_cover,
     ncd_brute_oracle,
     ncd_decide,
@@ -124,6 +135,130 @@ class TestOptimizeStability:
         back = SearchConfig.from_json(cfg.to_json())
         assert back.k == cfg.k and back.budget == cfg.budget
         np.testing.assert_allclose(back.target_mu, cfg.target_mu)
+
+
+def _labelled_grid(cfg, X, Y):
+    """Grid-cover search scored by one full MultiPTF labelling per
+    candidate and side: the reference for the sign-count scorer."""
+    best = closest = None
+    trace = []
+    evals = 0
+    for f in enumerate_cover(cfg.k, cfg.n0, cfg.d, cfg.coeff_bound, cfg.step):
+        if evals >= cfg.budget:
+            break
+        lx, ly = f.labels(X), f.labels(Y)
+        mu = label_measures(lx, f.k)
+        value = float(np.mean(lx == ly))
+        gap = float(np.abs(mu - cfg.target_mu).sum())
+        evals += 1
+        trace.append((evals, _poly_signature(f), value, binomial_se(value, cfg.samples, 1e-12)))
+        if gap <= cfg.measure_tol and (best is None or value > best[0]):
+            best = (value, f, mu)
+        if closest is None or gap < closest[0]:
+            closest = (gap, value, f, mu)
+    value, f, mu = best if best is not None else closest[1:]
+    return SearchResult(f, value, binomial_se(value, cfg.samples), mu, evals, best is not None, trace)
+
+
+def _assert_same_result(got, want):
+    assert got.stability == want.stability
+    assert got.stability_se == want.stability_se
+    np.testing.assert_array_equal(got.measures, want.measures)
+    assert got.evaluations == want.evaluations
+    assert got.feasible == want.feasible
+    assert got.trace == want.trace
+    assert partition_to_json(got.best) == partition_to_json(want.best)
+
+
+_GRID_CASES = {
+    "k2_n1_d1": dict(k=2, n0=1, d=1, target_mu=[0.5, 0.5], measure_tol=0.01,
+                     budget=100, coeff_bound=2.0, step=0.25),
+    "k2_n2_d1": dict(k=2, n0=2, d=1, target_mu=[0.5, 0.5], measure_tol=0.02,
+                     budget=40, coeff_bound=1.0, step=0.5),
+    "k2_n2_d2": dict(k=2, n0=2, d=2, target_mu=[0.3, 0.7], measure_tol=0.03,
+                     budget=40, coeff_bound=1.0, step=1.0),
+    "k3_n1_d1": dict(k=3, n0=1, d=1, target_mu=[0.5, 0.34, 0.16], measure_tol=0.02,
+                     budget=216, coeff_bound=1.0, step=1.0),
+    "k3_n2_d1": dict(k=3, n0=2, d=1, target_mu=[0.5, 0.26, 0.24], measure_tol=0.03,
+                     budget=60, coeff_bound=1.0, step=1.0),
+    "k3_d0": dict(k=3, n0=1, d=0, target_mu=[0.0, 1.0, 0.0], measure_tol=0.01, budget=10),
+    "k2_d0": dict(k=2, n0=2, d=0, target_mu=[1.0, 0.0], measure_tol=0.01, budget=10),
+    "k2_fallback": dict(k=2, n0=1, d=1, target_mu=[0.5, 0.5], measure_tol=1e-6,
+                        budget=30, coeff_bound=2.0, step=0.25),
+    "k3_fallback": dict(k=3, n0=1, d=1, target_mu=[1 / 3] * 3, measure_tol=1e-6,
+                        budget=50, coeff_bound=1.0, step=1.0),
+}
+
+
+class TestGridScorer:
+    """The sign-count scorer against the labelling loop, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(_GRID_CASES))
+    def test_matches_labelling_loop(self, case):
+        cfg = SearchConfig(t=0.6, mode="grid-cover", seed=21, samples=20_000, **_GRID_CASES[case])
+        X, Y = CorrelatedSampler(cfg.n0, math.exp(-cfg.t), cfg.seed).pairs(cfg.samples)
+        got = optimize_stability(cfg)
+        _assert_same_result(got, _labelled_grid(cfg, X, Y))
+        assert got.feasible == (not case.endswith("fallback"))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rows_on_the_boundary_label_one(self, k):
+        # H_1 with c0 = 0 is in this cover; it is exactly 0 at x = 0, where
+        # neither p nor -p is positive, so the MultiPTF rule gives label 1
+        X = np.array([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, -0.0, 0.5])[:, None]
+        Y = np.array([0.0, 1.0, -1.0, 0.0, 0.0, -2.0, 0.0, -0.0])[:, None]
+        cfg = SearchConfig(
+            k=k, n0=1, d=1, t=0.5, target_mu=[1 / k] * k, measure_tol=0.3,
+            budget=300, mode="grid-cover", seed=0, samples=X.shape[0],
+            coeff_bound=1.0, step=1.0,
+        )
+        h1 = [f for f in enumerate_cover(k, 1, 1, 1.0, 1.0)
+              if f.polys[0].constant == 0.0 and f.polys[0].eval(np.ones(1)) > 0]
+        assert h1 and h1[0].polys[0].eval(np.zeros(1)) == 0.0
+        assert h1[0].label([0.0]) == 1
+        _assert_same_result(_optimize_grid(cfg, X, Y), _labelled_grid(cfg, X, Y))
+
+
+class TestSearchSerialization:
+    def _reload(self, res):
+        doc = json.loads(res.to_json())
+        assert doc["best"] == json.loads(partition_to_json(res.best))
+        return partition_from_json(json.dumps(doc["best"]))
+
+    def _same_labels(self, f, g):
+        X = np.random.default_rng(8).standard_normal((500, f.n))
+        np.testing.assert_array_equal(g.labels(X), f.labels(X))
+
+    def test_grid_best_reloads(self):
+        res = optimize_stability(SearchConfig(
+            k=2, n0=2, d=1, t=0.5, target_mu=[0.5, 0.5], measure_tol=0.02,
+            budget=20, mode="grid-cover", seed=3, samples=5000,
+        ))
+        back = self._reload(res)
+        assert isinstance(back, MultiPTF)
+        self._same_labels(res.best, back)
+
+    @pytest.mark.parametrize("n0, route", [(1, "interval"), (2, "ptf-addition")])
+    def test_local_best_reloads(self, n0, route):
+        res = optimize_stability(SearchConfig(
+            k=2, n0=n0, d=1, t=0.5, target_mu=[0.5, 0.5], measure_tol=0.05,
+            budget=2, mode="random-restart-local", seed=5, samples=2000, quad_order=8,
+        ))
+        assert json.loads(res.to_json())["best"]["payload"]["route"] == route
+        back = self._reload(res)
+        assert back.kind == "rounded-ptf" and back.route == route
+        np.testing.assert_array_equal(back.z, res.best.z)
+        self._same_labels(res.best, back)
+
+    def test_route_mismatch_rejected(self):
+        res = optimize_stability(SearchConfig(
+            k=2, n0=2, d=1, t=0.5, target_mu=[0.5, 0.5], measure_tol=0.05,
+            budget=1, mode="random-restart-local", seed=5, samples=1000, quad_order=8,
+        ))
+        doc = json.loads(partition_to_json(res.best))
+        doc["payload"]["route"] = "interval"
+        with pytest.raises(ValueError, match="ptf-addition"):
+            partition_from_json(json.dumps(doc))
 
 
 def _equal_slabs3():
