@@ -93,9 +93,11 @@ class PolyGauss:
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         """Values over an (N, n) batch.
 
-        Dense order <= 2 components use closed linear-algebra forms;
-        sparse and higher-order components go through the generic
-        multiset sum, which only touches nonzero entries.
+        Dense order <= 2 components use closed forms, contracted by
+        einsum on one thread (no BLAS product: n is small and a second
+        BLAS thread only costs CPU); sparse and higher-order components
+        go through the generic multiset sum, which only touches nonzero
+        entries.  Terms accumulate in place into one output array.
         """
         X = np.atleast_2d(np.asarray(X))
         if not np.issubdtype(X.dtype, np.floating):
@@ -105,13 +107,13 @@ class PolyGauss:
         out = np.full(X.shape[0], self.constant, dtype=X.dtype)
         for q, t in self.chaos.items():
             if q == 1:
-                out = out + X @ t.array.astype(X.dtype, copy=False)
+                out += np.einsum("xi,i->x", X, t.array.astype(X.dtype, copy=False))
             elif q == 2 and np.count_nonzero(t.array) > 4 * self.n:
                 h = t.array.astype(X.dtype, copy=False)
-                out = out + ((X @ h) * X).sum(axis=1) / math.sqrt(2.0)
-                out = out - np.trace(h) / math.sqrt(2.0)
+                out += (np.einsum("xi,ij->xj", X, h) * X).sum(axis=1) / math.sqrt(2.0)
+                out -= np.trace(h) / math.sqrt(2.0)
             else:
-                out = out + ito_eval_many(t, X)
+                out += ito_eval_many(t, X)
         return out
 
     def eval(self, x) -> float:
@@ -657,11 +659,15 @@ def pair_block_product_difference(
     diff_sq = 0.0
     scale = 1.0 / (2.0 * math.sqrt(kappa))
     for m in batch_sizes(samples, batch):
-        S = (rng.chisquare(kappa, (m, L)) - rng.chisquare(kappa, (m, L))) * scale
-        vals = S @ W  # (m, members)
-        prod_a = vals[:, :na].prod(axis=1)
-        prod_b = vals[:, na:].prod(axis=1)
-        d = prod_a - prod_b
+        S = rng.chisquare(kappa, (m, L))
+        S -= rng.chisquare(kappa, (m, L))
+        S *= scale
+        # one contiguous row per member; the products over rows multiply
+        # the members left to right, row by row
+        vals = np.einsum("xl,lc->cx", S, W)
+        d = vals[:na].prod(axis=0)
+        d -= vals[na:].prod(axis=0)
         diff_sum += float(d.sum())
-        diff_sq += float((d**2).sum())
+        d *= d
+        diff_sq += float(d.sum())
     return ProductEstimate(*mean_se(diff_sum, diff_sq, samples), samples)

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .chaos import eigenregularity, poly_product, variance_bounds
 from .cube import cube_influences, cube_stability, make_voting_rule
+from .gauss import check_rho
 from .hermite import expand, spectral_weights
 from .partitions import (
     Halfspace,
@@ -116,9 +117,10 @@ def _rho_args(args) -> float:
         raise SystemExit2("pass only one of --rho / --t")
     if args.rho is None and args.t is None:
         raise SystemExit2("pass one of --rho / --t")
-    if args.rho is not None:
-        return args.rho
-    return math.exp(-args.t)
+    if args.t is not None and not args.t >= 0:  # also rejects NaN
+        raise SystemExit2(f"--t must be >= 0, got {args.t}")
+    rho = args.rho if args.rho is not None else math.exp(-args.t)
+    return check_rho(rho)
 
 
 class SystemExit2(Exception):
@@ -152,7 +154,7 @@ def _cmd_stability(args):
         "agreement": est.value,
         "std_error": est.std_error,
         "samples": est.samples,
-        "t": est.t if math.isfinite(est.t) else None,  # rho = 0: t is infinite
+        "t": est.t if math.isfinite(est.t) else None,  # rho <= 0: no finite t
     }
     if args.cell:
         cell = estimate_cell_stability(f, args.cell, None, args.samples, args.seed, rho=rho)
@@ -164,6 +166,8 @@ def _cmd_stability(args):
 
 def _cmd_borell_check(args):
     rho = _rho_args(args)
+    if rho < 0:
+        raise SystemExit2(f"borell-check needs rho >= 0 (Borell's inequality reverses below 0), got {rho}")
     rng = np.random.default_rng(args.seed)
     half = float(np.trace(quad_joint_cells_1d(Halfspace([0.0], [1.0]), rho)))
     rows = []

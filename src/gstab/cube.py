@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gauss import check_rho
+
 __all__ = [
     "CubeFn",
     "walsh_transform",
@@ -132,8 +134,7 @@ def _spectral_mass(f: CubeFn) -> np.ndarray:
 
 def cube_stability(f: CubeFn, rho: float) -> float:
     """Spectral value of Pr[f(x) = f(y)] for rho-correlated bits."""
-    if abs(rho) > 1.0:
-        raise ValueError("|rho| must be <= 1")
+    check_rho(rho)
     levels = np.bincount(_popcount(f.n), weights=_spectral_mass(f), minlength=f.n + 1)
     return float(np.dot(float(rho) ** np.arange(f.n + 1), levels))
 
@@ -144,6 +145,7 @@ def cube_stability_bruteforce(f: CubeFn, rho: float) -> float:
     Each coordinate pair (x_i, y_i) has Pr[y_i = x_i] = (1+rho)/2
     independently; the double sum over all 4^n outcomes is exact.
     """
+    check_rho(rho)
     same = (1.0 + rho) / 2.0
     npts = 1 << f.n
     idx = np.arange(npts)

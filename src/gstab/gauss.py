@@ -45,6 +45,7 @@ __all__ = [
     "binomial_se",
     "mean_se",
     "label_measures",
+    "check_rho",
 ]
 
 MAX_QUADRATURE_DIM = 3  # largest n for tensor-product rules over R^n
@@ -215,16 +216,16 @@ class CorrelatedSampler:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if abs(self.rho) > 1.0:
-            raise ValueError("|rho| must be <= 1")
+        check_rho(self.rho)
 
     def pairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         if count < 1:
             raise ValueError("count must be >= 1")
         rng = gaussian_rng(self.seed, self.stream)
         x = rng.standard_normal((count, self.dimension))
-        z = rng.standard_normal((count, self.dimension))
-        y = self.rho * x + np.sqrt(1.0 - self.rho**2) * z
+        y = rng.standard_normal((count, self.dimension))
+        y *= np.sqrt(1.0 - self.rho**2)
+        y += self.rho * x
         return x, y
 
     def pair_batches(self, count: int, batch: int = 1 << 19):
@@ -234,7 +235,9 @@ class CorrelatedSampler:
         for m in batch_sizes(count, batch):
             x = rng.standard_normal((m, self.dimension))
             z = rng.standard_normal((m, self.dimension))
-            yield x, self.rho * x + sigma * z
+            z *= sigma  # in place: the same sums as rho * x + sigma * z
+            z += self.rho * x
+            yield x, z
 
     def substream(self, index: int) -> "CorrelatedSampler":
         return CorrelatedSampler(self.dimension, self.rho, self.seed, index)
@@ -243,6 +246,15 @@ class CorrelatedSampler:
 # ---------------------------------------------------------------------------
 # Monte Carlo core: every seeded estimator draws from gaussian_rng, walks its
 # samples in batch_sizes blocks and reports binomial_se or mean_se
+
+
+def check_rho(rho: float) -> float:
+    """The correlation rule shared by every sampler and estimator: rho
+    finite with |rho| <= 1.  Negative rho is a valid coupling; routes
+    that need rho >= 0 check that themselves."""
+    if not abs(rho) <= 1.0:  # also rejects NaN
+        raise ValueError(f"rho must be finite with |rho| <= 1, got {rho}")
+    return rho
 
 
 def gaussian_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -35,6 +35,7 @@ from .gauss import (
     CorrelatedSampler,
     batch_sizes,
     binomial_se,
+    check_rho,
     gauss_hermite_rule,
     gaussian_rng,
     hermite_table,
@@ -72,15 +73,19 @@ DEFAULT_BATCH = 1 << 19
 
 
 def _rho_t(t: float | None, rho: float | None) -> tuple[float, float]:
+    """(rho, t) with rho = exp(-t).  Any rho allowed by gauss.check_rho is
+    accepted; t is inf at rho = 0 and NaN for rho < 0, which no noise
+    time reaches."""
     if (t is None) == (rho is None):
         raise ValueError("specify exactly one of t or rho")
     if t is not None:
-        if t < 0:
-            raise ValueError("t must be >= 0")
+        if not t >= 0:  # also rejects NaN
+            raise ValueError(f"t must be >= 0, got {t}")
         return math.exp(-t), t
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
-    return rho, (math.inf if rho == 0.0 else -math.log(rho))
+    check_rho(rho)
+    if rho <= 0.0:
+        return rho, (math.inf if rho == 0.0 else math.nan)
+    return rho, -math.log(rho)
 
 
 @dataclass(frozen=True)
@@ -145,7 +150,7 @@ class Halfspace(PartitionFn):
 
     def labels(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        s = (X - self.a) @ self.b
+        s = np.einsum("xi,i->x", X - self.a, self.b)
         return np.where(s <= 0.0, 1, 2).astype(np.int64)
 
     def payload(self) -> dict:
@@ -229,19 +234,35 @@ class MultiPTF(PartitionFn):
     def degree(self) -> int:
         return max(p.degree for p in self.polys)
 
-    def values(self, X: np.ndarray) -> np.ndarray:
+    def positive_sets(self, X: np.ndarray) -> list[np.ndarray]:
+        """The bitmaps p_j(X) > 0, one per polynomial."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.stack([p.eval_many(X) for p in self.polys], axis=1)
+        return [p.eval_many(X) > 0.0 for p in self.polys]
+
+    @staticmethod
+    def positive_count(positive: list[np.ndarray]) -> np.ndarray:
+        """How many of the bitmaps hold each point, in the narrowest
+        unsigned dtype that holds their number."""
+        count = positive[0].astype(np.min_scalar_type(len(positive)))
+        for pos in positive[1:]:
+            count += pos
+        return count
+
+    @staticmethod
+    def labels_from_positive(positive: list[np.ndarray], dtype=np.int64) -> np.ndarray:
+        """The labelling rule on the bitmaps p_j > 0: j where p_j alone
+        is positive, 1 elsewhere."""
+        alone = MultiPTF.positive_count(positive) == 1
+        labels = np.ones(alone.shape[0], dtype=dtype)
+        for j, pos in enumerate(positive[1:], start=2):
+            np.putmask(labels, pos & alone, j)
+        return labels
 
     def labels(self, X: np.ndarray) -> np.ndarray:
-        vals = self.values(X)
-        pos = vals > 0.0
-        count = pos.sum(axis=1)
-        return np.where(count == 1, pos.argmax(axis=1) + 1, 1).astype(np.int64)
+        return self.labels_from_positive(self.positive_sets(X))
 
     def collisions(self, X: np.ndarray) -> np.ndarray:
-        vals = self.values(X)
-        return (vals > 0.0).sum(axis=1) != 1
+        return self.positive_count(self.positive_sets(X)) != 1
 
     def payload(self) -> dict:
         return {
@@ -538,6 +559,7 @@ def exact_expansion(f: PartitionFn, max_degree: int):
 
 def sheppard_orthant(rho: float) -> float:
     """Pr[X <= 0, Y <= 0] for rho-correlated standard normals."""
+    check_rho(rho)
     return 0.25 + math.asin(rho) / (2.0 * math.pi)
 
 
@@ -550,7 +572,7 @@ def orthant_probability_quad(rho: float, order: int = 80) -> float:
     machine precision.  Requires 0 <= rho < 1.
     """
     if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
+        raise ValueError(f"the shared-factor coupling needs rho in [0, 1), got {rho}")
     if rho == 0.0:
         return 0.25
     rule = gauss_hermite_rule(order)
@@ -573,7 +595,7 @@ def quad_joint_cells_1d(f: PartitionFn, rho: float, order: int = 80) -> np.ndarr
         raise ValueError("quadrature oracle needs an interval-structured partition")
     slab = form.projected()
     if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
+        raise ValueError(f"the shared-factor coupling needs rho in [0, 1), got {rho}")
     if rho == 0.0:
         p = slab.cell_probs(np.zeros(1), 1.0)[0]
         return np.outer(p, p)

@@ -20,7 +20,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .gauss import batch_sizes, binomial_se, gaussian_rng
+from .gauss import batch_sizes, binomial_se, check_rho, gaussian_rng
 from .partitions import PartitionFn
 
 __all__ = [
@@ -96,8 +96,7 @@ class JointDist:
 
 def binary_symmetric(rho: float) -> JointDist:
     """Uniform-marginal binary source with correlation rho."""
-    if abs(rho) > 1:
-        raise ValueError("|rho| must be <= 1")
+    check_rho(rho)
     same = (1.0 + rho) / 4.0
     diff = (1.0 - rho) / 4.0
     return JointDist(np.array([[same, diff], [diff, same]]))

@@ -76,9 +76,21 @@ class ThresholdVector:
 
 
 def round_values(values: np.ndarray, z: ThresholdVector | np.ndarray) -> np.ndarray:
-    """argmax_j (values[:, j] - z_j) + 1, ties to the smallest index."""
+    """argmax_j (values[:, j] - z_j) + 1, ties to the smallest index.
+
+    A running maximum over the k columns: column j takes a point only
+    where it is strictly greater, so ties stay with the smaller index,
+    as with np.argmax on finite values.
+    """
     zv = z.z if isinstance(z, ThresholdVector) else np.asarray(z, dtype=float)
-    return np.argmax(values - zv, axis=1).astype(np.int64) + 1
+    best = values[:, 0] - zv[0]
+    labels = np.ones(values.shape[0], dtype=np.int64)
+    for j in range(1, values.shape[1]):
+        shifted = values[:, j] - zv[j]
+        better = shifted > best
+        np.putmask(labels, better, j + 1)
+        np.maximum(best, shifted, out=best)
+    return labels
 
 
 def threshold_round(F, z: ThresholdVector, n: int, k: int, tol: float = 1e-9) -> PartitionFn:
@@ -101,6 +113,8 @@ def threshold_round(F, z: ThresholdVector, n: int, k: int, tol: float = 1e-9) ->
 def _check_simplex(vals: np.ndarray, tol: float) -> None:
     if vals.ndim != 2:
         raise ValueError("simplex-valued function must return (N, k) batches")
+    if not np.all(np.isfinite(vals)):
+        raise FloatingPointError("simplex-valued function returned a non-finite value")
     if np.any(vals < -tol) or np.any(np.abs(vals.sum(axis=1) - 1.0) > max(tol, 1e-9)):
         raise ValueError("values leave the probability simplex beyond tolerance")
 
@@ -189,7 +203,7 @@ def smoothed_partition_values(f: PartitionFn, t: float, X: np.ndarray, quad_orde
     prefer the structured variants where accuracy matters.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if t < 0:
+    if not t >= 0:  # also rejects NaN
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return f.onehot(X)
@@ -197,7 +211,7 @@ def smoothed_partition_values(f: PartitionFn, t: float, X: np.ndarray, quad_orde
     scale = math.sqrt(1.0 - rho * rho)
     form = interval_form(f)
     if form is not None:
-        return form.cell_probs(rho * (X @ form.direction), scale)
+        return form.cell_probs(rho * np.einsum("xi,i->x", X, form.direction), scale)
     if isinstance(f, Tabulated) and f.n <= 12:
         return _smooth_sign_table(f, ndtr(rho * X / scale))
     if isinstance(f, MultiPTF) and f.n <= MAX_QUADRATURE_DIM:
@@ -356,7 +370,7 @@ def stability_of_rounding(
     under common random numbers.  The cross term E<g, P_t f> is reported
     for the Cauchy-Schwarz diagnostic.
     """
-    if t <= 0:
+    if not t > 0:  # also rejects NaN
         raise ValueError("t must be positive")
     sampler = CorrelatedSampler(f.n, math.exp(-t), seed)
     X, Y = sampler.pairs(samples)
@@ -456,13 +470,11 @@ def ptf_from_truncation(
     tail = (1.0 - 1.0 / k) - emb.norm2()
     rng = gaussian_rng(seed)
     Xs = rng.standard_normal((samples, h.n))
-    vals = g.values(Xs)
-    pos = vals > 0.0
-    count = pos.sum(axis=1)
-    glab = np.where(count == 1, pos.argmax(axis=1) + 1, 1)
+    positive = g.positive_sets(Xs)
+    glab = MultiPTF.labels_from_positive(positive)
     hlab = h.labels(Xs)
     dis = float(np.mean(glab != hlab))
-    col = float(np.mean(count != 1))
+    col = float(np.mean(MultiPTF.positive_count(positive) != 1))
     return TruncationReport(
         ptf=g,
         disagreement=dis,

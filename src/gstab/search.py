@@ -219,19 +219,6 @@ def optimize_stability(cfg: SearchConfig) -> SearchResult:
     return _optimize_local(cfg, X, Y)
 
 
-def _product_labels(positive: list[np.ndarray]) -> np.ndarray:
-    """MultiPTF labels from the positive sets of its polynomials: j where
-    p_j alone is positive, 1 elsewhere."""
-    count = positive[0].astype(np.uint8)
-    for pos in positive[1:]:
-        count += pos
-    alone = count == 1
-    labels = np.ones(alone.shape[0], dtype=np.uint8)
-    for j, pos in enumerate(positive[1:], start=2):
-        np.putmask(labels, pos & alone, j)
-    return labels
-
-
 def _optimize_grid(cfg: SearchConfig, X, Y) -> SearchResult:
     """Score the cover on the shared pairs, one evaluation per polynomial
     and side.
@@ -244,6 +231,7 @@ def _optimize_grid(cfg: SearchConfig, X, Y) -> SearchResult:
     """
     polys, candidates = _cover(cfg.k, cfg.n0, cfg.d, cfg.coeff_bound, cfg.step, COVER_GUARD)
     n = X.shape[0]
+    label_dtype = np.min_scalar_type(cfg.k)
     positive = {}  # polynomial index -> (p > 0 on X, p > 0 on Y)
 
     def positive_sets(i):
@@ -266,8 +254,8 @@ def _optimize_grid(cfg: SearchConfig, X, Y) -> SearchResult:
             mu = np.array([n - c, c]) / n
         else:
             sets = [positive_sets(i) for i in idx]
-            lx = _product_labels([sx for sx, _ in sets])
-            ly = _product_labels([sy for _, sy in sets])
+            lx = MultiPTF.labels_from_positive([sx for sx, _ in sets], label_dtype)
+            ly = MultiPTF.labels_from_positive([sy for _, sy in sets], label_dtype)
             value = int(np.count_nonzero(lx == ly)) / n
             mu = label_measures(lx, cfg.k)
         gap = float(np.abs(mu - cfg.target_mu).sum())

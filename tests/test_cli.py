@@ -75,6 +75,17 @@ class TestStabilityCommand:
         assert res["t"] is None
         assert res["agreement"] == pytest.approx(0.5, abs=5 * res["std_error"])
 
+    def test_negative_rho(self, halfspace_file, capsys):
+        code, out = run_cli(
+            ["stability", "--partition", halfspace_file, "--rho", "-0.5",
+             "--samples", "200000", "--seed", "4"],
+            capsys,
+        )
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["t"] is None
+        assert res["agreement"] == pytest.approx(1 - math.acos(-0.5) / math.pi, abs=5 * res["std_error"])
+
     def test_csv_format(self, halfspace_file, capsys):
         code, out = run_cli(
             ["stability", "--partition", halfspace_file, "--rho", "0.5",
@@ -239,6 +250,34 @@ class TestExitCodes:
             ["stability", "--partition", halfspace_file, "--rho", "0.5", "--t", "1.0"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stability", "--partition", "{half}", "--rho", "nan"],
+            ["stability", "--partition", "{half}", "--t", "nan"],
+            ["stability", "--partition", "{half}", "--rho", "1.5"],
+            ["stability", "--partition", "{half}", "--t", "-1"],
+            ["cube", "--rule", "majority", "--n", "3", "--rho", "nan"],
+            ["cube", "--rule", "majority", "--n", "3", "--t", "nan"],
+            ["borell-check", "--rho", "nan"],
+            ["borell-check", "--t", "nan"],
+            ["round", "--partition", "{half}", "--t", "nan"],
+        ],
+    )
+    def test_invalid_noise_is_usage_error(self, halfspace_file, argv, capsys):
+        code = cli_dispatch([a.format(half=halfspace_file) for a in argv])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_borell_check_needs_nonnegative_rho(self, capsys):
+        assert cli_dispatch(["borell-check", "--rho", "-0.5"]) == 2
+        assert "Borell's inequality reverses" in capsys.readouterr().err
+
+    def test_cube_accepts_negative_rho(self, capsys):
+        code, out = run_cli(["cube", "--rule", "dictator", "--n", "3", "--rho", "-0.5"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["stability"] == pytest.approx(0.25, abs=1e-12)
 
     def test_numeric_failure_exit(self, tmp_path, capsys):
         # one iteration cannot match the measures of a skewed partition

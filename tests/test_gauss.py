@@ -6,6 +6,7 @@ from gstab.gauss import (
     CorrelatedSampler,
     HermiteIndex,
     batch_sizes,
+    check_rho,
     gauss_hermite_rule,
     hermite_eval,
     hermite_multi_eval,
@@ -146,6 +147,66 @@ class TestCorrelatedSampler:
     def test_invalid_rho(self):
         with pytest.raises(ValueError):
             CorrelatedSampler(1, 1.5, 0)
+
+
+class TestRhoRule:
+    """One rule for rho everywhere: finite with |rho| <= 1."""
+
+    @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 0.5, 1.0])
+    def test_accepted(self, rho):
+        from gstab.cube import cube_stability, make_voting_rule
+        from gstab.partitions import Halfspace, estimate_stability
+        from gstab.product_space import binary_symmetric
+
+        assert check_rho(rho) == rho
+        CorrelatedSampler(2, rho, 1).pairs(2)
+        dictator = make_voting_rule("dictator", 3, 2)
+        assert cube_stability(dictator, rho) == pytest.approx((1 + rho) / 2, abs=1e-12)
+        assert binary_symmetric(rho).P.sum() == pytest.approx(1.0)
+        est = estimate_stability(Halfspace([0.0], [1.0]), None, 100, 0, rho=rho)
+        if rho < 0:
+            assert np.isnan(est.t)  # no noise time gives a negative correlation
+        elif rho == 0:
+            assert est.t == np.inf
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf, 1.5, -1.01])
+    def test_rejected_everywhere(self, rho):
+        from gstab.cube import cube_stability, cube_stability_bruteforce, make_voting_rule
+        from gstab.partitions import Halfspace, estimate_stability, sheppard_orthant
+        from gstab.product_space import binary_symmetric
+
+        for call in (
+            lambda: check_rho(rho),
+            lambda: CorrelatedSampler(2, rho, 1),
+            lambda: cube_stability(make_voting_rule("majority", 3, 2), rho),
+            lambda: cube_stability_bruteforce(make_voting_rule("majority", 3, 2), rho),
+            lambda: binary_symmetric(rho),
+            lambda: sheppard_orthant(rho),
+            lambda: estimate_stability(Halfspace([0.0], [1.0]), None, 100, 0, rho=rho),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_nan_t_rejected(self):
+        from gstab.partitions import Halfspace, estimate_stability
+
+        with pytest.raises(ValueError):
+            estimate_stability(Halfspace([0.0], [1.0]), np.nan, 100, 0)
+
+    def test_negative_rho_halfspace_agreement(self):
+        from gstab.partitions import Halfspace, estimate_stability
+
+        est = estimate_stability(Halfspace([0.0, 0.0], [1.0, 2.0]), None, 200_000, 3, rho=-0.5)
+        assert est.value == pytest.approx(1 - np.arccos(-0.5) / np.pi, abs=5 * est.std_error)
+
+    @pytest.mark.parametrize("rho", [-0.5, 1.0])
+    def test_coupling_oracles_keep_their_range(self, rho):
+        from gstab.partitions import Halfspace, orthant_probability_quad, quad_joint_cells_1d
+
+        with pytest.raises(ValueError, match="shared-factor coupling"):
+            orthant_probability_quad(rho)
+        with pytest.raises(ValueError, match="shared-factor coupling"):
+            quad_joint_cells_1d(Halfspace([0.0], [1.0]), rho)
 
 
 class TestSampleCountGuard:

@@ -63,7 +63,22 @@ class TestThresholdRound:
             g.labels(np.array([[5.0]]))
 
 
+    def test_non_finite_values_rejected(self):
+        # NaN passes every comparison test of the simplex check, and
+        # argmax would label its row silently
+        F = lambda X: np.where(X[:, :1] > 0, np.nan, simplex_pair(X))
+        g = threshold_round(F, ThresholdVector(np.zeros(2)), 1, 2)
+        with pytest.raises(FloatingPointError):
+            g.labels(np.array([[-1.0], [1.0]]))
+        np.testing.assert_array_equal(g.labels(np.array([[-1.0], [-2.0]])), [1, 1])
+
+
 class TestFindMatchingThreshold:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        F = lambda X: np.where(X[:, :1] > 2, bad, simplex_pair(X))
+        with pytest.raises(ArithmeticError):
+            find_matching_threshold(F, [0.5, 0.5], tol=0.01, max_iter=50, samples=10_000, seed=1, n=1, k=2)
     def test_symmetric_target_immediate(self):
         res = find_matching_threshold(
             simplex_pair, [0.5, 0.5], tol=0.01, max_iter=50,
