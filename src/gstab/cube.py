@@ -5,9 +5,9 @@ influences, and standard voting rules.
 
 Points are indexed by bit pattern: bit i of the index is 1 when x_i = +1.
 A function is a flat table of labels in 1..k over all 2^n points; analysis
-runs on its simplex embedding, whose Walsh coefficients are computed by an
-in-place butterfly into a (2^n, k) array whose row S is the coefficient of
-the subset with mask S.  With fhat the embedded coefficients,
+runs on its simplex embedding, whose Walsh coefficients are one axis-wise
+contraction (gauss.contract_axes) into a (2^n, k) array whose row S is the
+coefficient of the subset with mask S.  With fhat the embedded coefficients,
 
     stability(rho)   = sum_S rho^{|S|} ||fhat(S)||^2
                      = Pr[f(x) = f(y)],  E[x_i y_i] = rho,
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import check_rho
+from .gauss import check_rho, contract_axes
 
 __all__ = [
     "CubeFn",
@@ -97,18 +97,9 @@ def _popcount(n: int) -> np.ndarray:
     return out
 
 
-def _butterfly(values: np.ndarray, n: int) -> np.ndarray:
-    """Walsh-Hadamard transform along axis 0 (unnormalized butterfly)."""
-    out = values.copy()
-    rest = out.shape[1:]
-    for stage in range(n):
-        step = 1 << stage
-        v = out.reshape(-1, 2, step, *rest)
-        a = v[:, 0].copy()
-        b = v[:, 1]
-        v[:, 0] = a + b
-        v[:, 1] = a - b
-    return out
+# per-axis character matrix: row b is bit b (0 <-> x_i = -1), column s
+# is chi_s(x_i) / 2 with chi_0 = 1 and chi_1 = x_i
+_CHARACTERS = np.array([[0.5, -0.5], [0.5, 0.5]])
 
 
 def walsh_transform(f: CubeFn) -> np.ndarray:
@@ -116,14 +107,14 @@ def walsh_transform(f: CubeFn) -> np.ndarray:
 
     Row S is the coefficient of the subset with mask S.  With the +-1
     convention above, fhat(S) = 2^{-n} sum_x f(x) chi_S(x) where
-    chi_S(x) = prod_{i in S} x_i.  Exact up to roundoff; Parseval holds
-    with equality.
+    chi_S(x) = prod_{i in S} x_i: one contraction of the embedding,
+    viewed as a (2,)*n + (k,) table, with the same 2 x 2 character matrix
+    on every axis, so the bit layout of the rows comes back unchanged.
+    Every product is by +-1/2, so the sums are those of an unnormalized
+    butterfly scaled by 2^-n.  Parseval holds with equality.
     """
-    coeffs = _butterfly(f.embedding(), f.n) / (1 << f.n)
-    # butterfly output at S is sum_x f(x) (-1)^{popcount(S & x)}; with the
-    # bit=1 <-> +1 convention chi_S carries an extra (-1)^{|S|}.
-    coeffs[(_popcount(f.n) & 1).astype(bool)] *= -1.0
-    return coeffs
+    table = f.embedding().reshape((2,) * f.n + (f.k,))
+    return contract_axes(table, _CHARACTERS, f.n).reshape(1 << f.n, f.k)
 
 
 def _spectral_mass(f: CubeFn) -> np.ndarray:

@@ -40,6 +40,7 @@ __all__ = [
     "hermite_multi_eval",
     "gauss_hermite_rule",
     "tensor_grid",
+    "contract_axes",
     "gaussian_rng",
     "batch_sizes",
     "binomial_se",
@@ -196,6 +197,20 @@ def tensor_grid(rule: QuadratureRule, n: int) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(n - 1):
         weights = np.multiply.outer(weights, w)
     return points, weights.reshape(-1)
+
+
+def contract_axes(table: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
+    """out[s_1..s_n, :] = sum_x table[x_1..x_n, :] prod_i B[x_i, s_i].
+
+    ``table`` has shape (m,)*n + (k,) and B shape (m, r); the n leading
+    axes are contracted one at a time, at cost about n m^n r k.
+    """
+    out = table
+    for _ in range(n):
+        # contracting axis 0 each time appends s_i last, so after n
+        # passes the layout is (k, s_1..s_n)
+        out = np.tensordot(out, B, axes=([0], [0]))
+    return np.moveaxis(out, 0, -1)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import MAX_QUADRATURE_DIM, gauss_hermite_rule, hermite_table, tensor_grid
+from .gauss import (
+    MAX_QUADRATURE_DIM,
+    contract_axes,
+    gauss_hermite_rule,
+    hermite_table,
+    tensor_grid,
+)
 
 __all__ = [
     "HermiteExpansion",
@@ -185,21 +191,17 @@ def expand(f, n: int, max_degree: int, quad_order: int = 40, k: int | None = Non
     if quad_order <= max_degree:
         raise ValueError("quad_order must exceed max_degree")
     rule = gauss_hermite_rule(quad_order)
-    points, weights = tensor_grid(rule, n)
+    points, _ = tensor_grid(rule, n)
     vals = eval_vector_function(f, points, k=k)
     kk = vals.shape[1]
-    # per-axis Hermite values on the grid: (max_degree+1, N, n)
-    table = hermite_table(max_degree, points)
-    wvals = vals * weights[:, None]
+    # the "ij" grid order makes axis i coordinate i; each axis contracts
+    # against w(y) H_q(y) over the one-dimensional nodes
+    B = hermite_table(max_degree, rule.nodes).T * rule.weights[:, None]
+    full = contract_axes(vals.reshape((quad_order,) * n + (kk,)), B, n)
     coeffs: dict[tuple[int, ...], np.ndarray] = {}
     for S in degree_indices(n, max_degree):
-        h = np.ones(points.shape[0])
-        for i, q in enumerate(S):
-            if q:
-                h = h * table[q, :, i]
-        c = h @ wvals
-        if np.linalg.norm(c) >= COEFF_DROP:
-            coeffs[S] = c
+        if np.linalg.norm(full[S]) >= COEFF_DROP:
+            coeffs[S] = full[S]
     return HermiteExpansion(n, kk, max_degree, coeffs)
 
 
@@ -221,7 +223,7 @@ def spectral_weights(e: HermiteExpansion, total_mass: float) -> SpectralWeights:
 
 def apply_ou(e: HermiteExpansion, t: float) -> HermiteExpansion:
     """P_t on coefficients: fhat(S) -> exp(-t|S|) fhat(S)."""
-    if t < 0:
+    if not t >= 0:  # also rejects NaN
         raise ValueError("t must be >= 0")
     coeffs = {S: math.exp(-t * sum(S)) * c for S, c in e.coeffs.items()}
     return HermiteExpansion(e.n, e.k, e.max_degree, coeffs)
@@ -233,7 +235,7 @@ def ou_on_points(f, t: float, points: np.ndarray, quad_order: int = 40, k: int |
     The y-integral runs over a tensor-product rule, so the cost is
     quad_order^n vectorized evaluations of f over the batch.
     """
-    if t < 0:
+    if not t >= 0:  # also rejects NaN
         raise ValueError("t must be >= 0")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[1]

@@ -36,10 +36,12 @@ from .gauss import (
     batch_sizes,
     binomial_se,
     check_rho,
+    contract_axes,
     gauss_hermite_rule,
     gaussian_rng,
     hermite_table,
 )
+from .hermite import HermiteExpansion, degree_indices
 from .tensors import SymmetricTensor
 
 __all__ = [
@@ -249,13 +251,19 @@ class MultiPTF(PartitionFn):
         return count
 
     @staticmethod
-    def labels_from_positive(positive: list[np.ndarray], dtype=np.int64) -> np.ndarray:
-        """The labelling rule on the bitmaps p_j > 0: j where p_j alone
-        is positive, 1 elsewhere."""
+    def label_masks(positive: list[np.ndarray]) -> list[np.ndarray]:
+        """The labelling rule on the bitmaps p_j > 0, as one mask per
+        label: j where p_j alone is positive, 1 elsewhere."""
         alone = MultiPTF.positive_count(positive) == 1
-        labels = np.ones(alone.shape[0], dtype=dtype)
-        for j, pos in enumerate(positive[1:], start=2):
-            np.putmask(labels, pos & alone, j)
+        return [~alone | positive[0]] + [pos & alone for pos in positive[1:]]
+
+    @staticmethod
+    def labels_from_positive(positive: list[np.ndarray], dtype=np.int64) -> np.ndarray:
+        """Labels 1..k from the bitmaps p_j > 0, by label_masks."""
+        masks = MultiPTF.label_masks(positive)
+        labels = np.ones(masks[0].shape, dtype=dtype)
+        for j, mask in enumerate(masks[1:], start=2):
+            np.putmask(labels, mask, j)
         return labels
 
     def labels(self, X: np.ndarray) -> np.ndarray:
@@ -512,8 +520,6 @@ def exact_expansion(f: PartitionFn, max_degree: int):
     partitions (orthant cells factor into per-coordinate half-lines).
     Raises ValueError when no exact structure applies.
     """
-    from .hermite import HermiteExpansion, degree_indices
-
     form = interval_form(f)
     if form is not None:
         u = form.direction
@@ -535,8 +541,6 @@ def exact_expansion(f: PartitionFn, max_degree: int):
                 coeffs[S] = vec
         return HermiteExpansion(f.n, f.k, max_degree, coeffs)
     if isinstance(f, Tabulated) and f.n <= 6:
-        from .product_space import contract_axes
-
         half = np.zeros((2, max_degree + 1))
         half[0] = _interval_hermite_coeffs(-np.inf, 0.0, max_degree)  # sign -
         half[1] = _interval_hermite_coeffs(0.0, np.inf, max_degree)  # sign +

@@ -20,7 +20,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .gauss import batch_sizes, binomial_se, check_rho, gaussian_rng
+from .gauss import batch_sizes, binomial_se, check_rho, contract_axes, gaussian_rng
 from .partitions import PartitionFn
 
 __all__ = [
@@ -219,20 +219,6 @@ def tensor_fourier(table: np.ndarray, basis: np.ndarray, marginal: np.ndarray, n
     return ProductFourier(n, k, m, contract_axes(table, B, n))
 
 
-def contract_axes(table: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
-    """out[s_1..s_n, :] = sum_x table[x_1..x_n, :] prod_i B[x_i, s_i].
-
-    ``table`` has shape (m,)*n + (k,) and B shape (m, r); the n leading
-    axes are contracted one at a time, at cost about n m^n r k.
-    """
-    out = table
-    for _ in range(n):
-        # contracting axis 0 each time appends s_i last, so after n
-        # passes the layout is (k, s_1..s_n)
-        out = np.tensordot(out, B, axes=([0], [0]))
-    return np.moveaxis(out, 0, -1)
-
-
 def influence(F: ProductFourier, i: int) -> float:
     """Mass of coefficients with sigma_i != 0."""
     if not 0 <= i < F.n:
@@ -256,11 +242,8 @@ def correlation(F: ProductFourier, G: ProductFourier, rho: np.ndarray) -> float:
         raise ValueError("expansion shapes differ")
     rho_full = np.zeros(F.m)
     rho_full[: min(F.m, rho.size)] = rho[: min(F.m, rho.size)]
-    weight = np.ones(())
-    for _ in range(F.n):
-        weight = np.multiply.outer(weight, rho_full)
     pair = np.sum(F.coeffs * G.coeffs, axis=-1)
-    return float(np.sum(pair * weight))
+    return float(contract_axes(pair[..., None], rho_full[:, None], F.n).sum())
 
 
 def exact_correlation(f_table: np.ndarray, g_table: np.ndarray, P: JointDist, n: int) -> float:

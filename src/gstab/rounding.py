@@ -291,10 +291,9 @@ def _smooth_ptf(f: MultiPTF, rho: float, sigma: float, X: np.ndarray, quad_order
     The k polynomial values at every (point, node) pair are one
     contraction of the point-side Hermite products H_T(x) with the
     node-side table of _addition_tables, so no PTF is evaluated at the
-    shifted points.  Labels follow MultiPTF.labels (label j when p_j
-    alone is positive, else 1), and each label's node weights are summed
-    per point.  Points go in blocks of about _PAIR_BLOCK_ENTRIES
-    (point, polynomial, node) entries.
+    shifted points.  Labels follow MultiPTF.label_masks, and each
+    label's node weights are summed per point.  Points go in blocks of
+    about _PAIR_BLOCK_ENTRIES (point, polynomial, node) entries.
     """
     if X.shape[1] != f.n:
         raise ValueError("batch dimension does not match the partition")
@@ -308,11 +307,10 @@ def _smooth_ptf(f: MultiPTF, rho: float, sigma: float, X: np.ndarray, quad_order
         table = hermite_table(deg, X[lo : lo + step]).transpose(1, 0, 2)
         hx = table[:, index, axes].prod(axis=2)  # (points, B)
         pos = (np.einsum("xb,bm->xm", hx, G) > 0.0).reshape(hx.shape[0], f.k, -1)
-        single = pos.sum(axis=1, dtype=np.int16) == 1
+        masks = MultiPTF.label_masks([pos[:, j] for j in range(f.k)])
         block = out[lo : lo + step]
-        block[:, 0] = np.einsum("xm,m->x", ~single | pos[:, 0], weights)
-        for j in range(1, f.k):
-            block[:, j] = np.einsum("xm,m->x", single & pos[:, j], weights)
+        for j, mask in enumerate(masks):
+            block[:, j] = np.einsum("xm,m->x", mask, weights)
     return out
 
 

@@ -365,6 +365,8 @@ class _RoundedPartition(PartitionFn):
         self.ptf = ptf
         self.t = t
         self.z = np.asarray(z, dtype=float)
+        if self.z.shape != (ptf.k,) or not np.all(np.isfinite(self.z)):
+            raise ValueError(f"thresholds z must be {ptf.k} finite numbers, got {z!r}")
         self.quad_order = quad_order
         self.n = ptf.n
         self.k = ptf.k

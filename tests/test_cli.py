@@ -321,6 +321,29 @@ class TestExitCodes:
         assert code == 2
         assert "enumeration guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("z", [[0.0, 0.1], [0.0, 0.1, -0.1, 0.2], [0.0, math.nan, 0.0]])
+    def test_rounded_ptf_thresholds_must_match_k(self, tmp_path, z, capsys):
+        from gstab.chaos import PolyGauss
+        from gstab.partitions import MultiPTF
+        from gstab.search import _RoundedPartition
+
+        polys = [
+            PolyGauss.from_hermite_coeffs(2, {(1, 0): c, (0, 1): 1.0 - c}) for c in (0.2, 0.5, 0.9)
+        ]
+        doc = json.loads(partition_to_json(_RoundedPartition(MultiPTF(polys), 0.5, np.zeros(3), 8)))
+        path = tmp_path / "rounded.json"
+        path.write_text(json.dumps(doc))
+        assert cli_dispatch(
+            ["stability", "--partition", str(path), "--t", "0.5", "--samples", "2000"]
+        ) == 0
+        doc["payload"]["z"] = z
+        path.write_text(json.dumps(doc))
+        code = cli_dispatch(
+            ["stability", "--partition", str(path), "--t", "0.5", "--samples", "2000"]
+        )
+        assert code == 2
+        assert "thresholds z must be 3 finite numbers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_nonpositive_samples_are_usage_errors(self, halfspace_file, samples, capsys):
         code = cli_dispatch(

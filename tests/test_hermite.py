@@ -11,6 +11,7 @@ from gstab.hermite import (
     apply_ou,
     expand,
     gradient_tail_bound,
+    ou_on_points,
     ou_pointwise,
     spectral_weights,
 )
@@ -180,6 +181,17 @@ class TestOrnsteinUhlenbeck:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             apply_ou(expand(lambda X: X[:, 0], 1, 2), -0.1)
+
+    @pytest.mark.parametrize("t", [-0.1, math.nan])
+    def test_invalid_time_rejected_by_every_route(self, t):
+        # NaN fails no t < 0 test; every route must still refuse it
+        e = expand(lambda X: X[:, 0], 1, 2)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            apply_ou(e, t)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            ou_on_points(halfspace_indicator, t, np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            ou_pointwise(halfspace_indicator, t, [0.0])
 
 
 class TestGradientTailBound:

@@ -1,11 +1,14 @@
-"""Per-sample kernels against the forms they replaced.
+"""Kernels against the forms they replaced.
 
 The Monte Carlo hot paths label, round and contract column by column
 with einsum and running column operations instead of BLAS products and
-reductions along the short k-axis.  Each test keeps the earlier form as
-its reference: labels and rounding must match it exactly, and the
-floating-point contractions within a bound set from the dtype.  The last
-test checks that no kernel starts a second BLAS thread.
+reductions along the short k-axis.  The Walsh transform and the
+quadrature Hermite expansion are one axis-wise contraction
+(gauss.contract_axes) instead of a butterfly and a loop over
+multi-indices.  Each test keeps the earlier form as its reference:
+labels, rounding and the Walsh coefficients must match it exactly, and
+the floating-point contractions within a bound set from the dtype.  The
+last test checks that no kernel starts a second BLAS thread.
 """
 import math
 import os
@@ -25,7 +28,17 @@ from gstab.chaos import (
     pair_block_product_difference,
     pair_block_weights,
 )
-from gstab.gauss import CorrelatedSampler, batch_sizes, gaussian_rng, mean_se
+from gstab.cube import CubeFn, walsh_transform
+from gstab.gauss import (
+    CorrelatedSampler,
+    batch_sizes,
+    gauss_hermite_rule,
+    gaussian_rng,
+    hermite_table,
+    mean_se,
+    tensor_grid,
+)
+from gstab.hermite import COEFF_DROP, degree_indices, expand
 from gstab.partitions import MultiPTF
 from gstab.rounding import round_values
 from gstab.tensors import SymmetricTensor, ito_eval_many, symmetrize
@@ -96,6 +109,43 @@ def reference_chisq(family_a, family_b, samples, seed, batch=1 << 20):
     return mean_se(diff_sum, diff_sq, samples)
 
 
+def reference_walsh(f: CubeFn):
+    """In-place butterfly over the bits, scaled by 2^-n, with the
+    (-1)^{|S|} sign of the bit = 1 <-> +1 convention."""
+    out = f.embedding()
+    for stage in range(f.n):
+        v = out.reshape(-1, 2, 1 << stage, f.k)
+        a = v[:, 0].copy()
+        b = v[:, 1]
+        v[:, 0] = a + b
+        v[:, 1] = a - b
+    out /= 1 << f.n
+    odd = np.zeros(1 << f.n, dtype=bool)
+    for i in range(f.n):
+        odd ^= ((np.arange(1 << f.n) >> i) & 1).astype(bool)
+    out[odd] *= -1.0
+    return out
+
+
+def reference_expand(f, n, max_degree, quad_order):
+    """Hermite coefficients one multi-index at a time: the grid product
+    H_S, dotted with the weighted values."""
+    points, weights = tensor_grid(gauss_hermite_rule(quad_order), n)
+    vals = f(points).reshape(points.shape[0], -1)
+    table = hermite_table(max_degree, points)
+    wvals = vals * weights[:, None]
+    coeffs = {}
+    for S in degree_indices(n, max_degree):
+        h = np.ones(points.shape[0])
+        for i, q in enumerate(S):
+            if q:
+                h = h * table[q, :, i]
+        c = h @ wvals
+        if np.linalg.norm(c) >= COEFF_DROP:
+            coeffs[S] = c
+    return coeffs
+
+
 # ---------------------------------------------------------------------------
 # PTF labels: exact equality, with zero values, ties and collisions
 
@@ -162,6 +212,53 @@ class TestPTFLabels:
             assert labels.dtype == dt
             np.testing.assert_array_equal(labels, expected)
         np.testing.assert_array_equal(MultiPTF.positive_count(positive), count)
+
+
+class TestLabelMasks:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(k=st.integers(1, 6), rows=st.integers(1, 60), seed=st.integers(0, 2**31))
+    def test_masks_partition_the_labels(self, k, rows, seed):
+        rng = np.random.default_rng(seed)
+        positive = [rng.random((rows, 3)) < 0.4 for _ in range(k)]
+        masks = MultiPTF.label_masks(positive)
+        labels = MultiPTF.labels_from_positive([p.reshape(-1) for p in positive])
+        # the per-node form the PTF smoothing used: one count along k
+        pos = np.stack(positive, axis=1)
+        single = pos.sum(axis=1) == 1
+        for j, mask in enumerate(masks):
+            np.testing.assert_array_equal(mask.reshape(-1), labels == j + 1)
+            expected = ~single | pos[:, 0] if j == 0 else single & pos[:, j]
+            np.testing.assert_array_equal(mask, expected)
+
+
+# ---------------------------------------------------------------------------
+# axis-wise contractions: the Walsh transform and the quadrature expansion
+
+
+class TestAxisContractions:
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_walsh_equals_butterfly(self, rng, k):
+        for n in range(1, 15):
+            f = CubeFn(n, k, rng.integers(1, k + 1, size=1 << n))
+            coeffs = walsh_transform(f)
+            assert coeffs.shape == (1 << n, k)
+            np.testing.assert_array_equal(coeffs, reference_walsh(f))
+
+    @pytest.mark.parametrize(
+        "n, max_degree, quad_order", [(1, 6, 20), (2, 5, 12), (3, 4, 8), (3, 6, 9)]
+    )
+    def test_expand_matches_per_index_loop(self, rng, n, max_degree, quad_order):
+        a = rng.standard_normal(n)
+
+        def f(X):
+            # smooth and discontinuous components, and one exact polynomial
+            return np.stack([np.tanh(X @ a), (X @ a > 0.3).astype(float), X[:, 0] ** 2], axis=1)
+
+        e = expand(f, n, max_degree, quad_order=quad_order)
+        ref = reference_expand(f, n, max_degree, quad_order)
+        assert set(e.coeffs) == set(ref)
+        for S, c in ref.items():
+            np.testing.assert_allclose(e.coeffs[S], c, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +365,7 @@ GUARD = textwrap.dedent(
     import time
     import numpy as np
     from gstab.chaos import GramSpec, PolyGauss, matched_family, pair_block_product_difference
+    from gstab.cube import cube_influences, cube_stability, make_voting_rule
     from gstab.partitions import Halfspace, MultiPTF, estimate_stability
     from gstab.rounding import smoothed_partition_values
     from gstab.tensors import SymmetricTensor, symmetrize
@@ -285,11 +383,14 @@ GUARD = textwrap.dedent(
     h = Halfspace(np.zeros(3), [1.0, -0.5, 2.0])
     X2 = rng.standard_normal((1_000_000, 2))
     X3 = rng.standard_normal((1_000_000, 3))
+    majority = make_voting_rule("majority", 17, 2)
     wall, cpu = time.perf_counter(), time.process_time()
     estimate_stability(h, None, 2_000_000, 0, rho=0.6)
     ptf.labels(X2)
     pair_block_product_difference(fam_a, fam_b, 1_000_000, 0)
     smoothed_partition_values(h, 0.5, X3)
+    cube_stability(majority, 0.6)
+    cube_influences(majority)
     print(time.process_time() - cpu, time.perf_counter() - wall)
     """
 )
