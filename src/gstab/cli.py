@@ -23,13 +23,12 @@ from .cube import cube_influences, cube_stability, make_voting_rule
 from .gauss import check_rho
 from .hermite import expand, spectral_weights
 from .partitions import (
-    Halfspace,
     MultiPTF,
     estimate_cell_stability,
     estimate_stability,
     partition_from_json,
-    quad_joint_cells_1d,
     random_balanced_slabs,
+    sheppard_orthant,
 )
 from .product_space import (
     JointDist,
@@ -169,7 +168,7 @@ def _cmd_borell_check(args):
     if rho < 0:
         raise SystemExit2(f"borell-check needs rho >= 0 (Borell's inequality reverses below 0), got {rho}")
     rng = np.random.default_rng(args.seed)
-    half = float(np.trace(quad_joint_cells_1d(Halfspace([0.0], [1.0]), rho)))
+    half = 2.0 * sheppard_orthant(rho)
     rows = []
     violations = 0
     for trial in range(args.trials):
@@ -184,10 +183,7 @@ def _cmd_borell_check(args):
 
 def _cmd_round(args):
     f = _load_partition(args.partition)
-    report = stability_of_rounding(
-        f, args.t, tol=args.tol, samples=args.samples, seed=args.seed,
-        max_iter=args.max_iter,
-    )
+    report = stability_of_rounding(f, args.t, tol=args.tol, samples=args.samples, seed=args.seed)
     if not report.converged:
         raise NumericFailure("threshold search did not reach the requested tolerance")
     doc = json.loads(report.to_json())
@@ -348,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--tol", type=float, default=0.01)
-    p.add_argument("--max-iter", type=int, default=400)
     p.add_argument("--degree", type=int, default=0)
     _add_common(p, samples=200_000)
     p.set_defaults(func=_cmd_round)

@@ -104,9 +104,6 @@ class MeasureVector:
     mu: np.ndarray
     std_error: np.ndarray
 
-    def l1_distance(self, target) -> float:
-        return float(np.abs(self.mu - np.asarray(target, dtype=float)).sum())
-
 
 class PartitionFn:
     """Base class; subclasses label batches of points with 1..k."""

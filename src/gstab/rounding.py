@@ -8,9 +8,9 @@ partition x -> argmax_j (F_j(x) - z_j) (ties to the smallest index, a
 deterministic member of the allowed tie set).  Among all partitions with
 the same cell measures, this rounding maximizes E<F, g>; applied to
 F = P_t f with z chosen so the measures of f are preserved, the rounded
-partition is at least as noise stable as f.  No closed form for the
-measure-matching z exists, so it is found by a damped fixed-point
-iteration on empirical measures with common random numbers.
+partition is at least as noise stable as f.  The measure-matching z are
+the dual potentials of a semi-discrete transport problem; with the other
+entries fixed each z_j is a quantile, so label-by-label cuts find z.
 """
 from __future__ import annotations
 
@@ -121,7 +121,7 @@ def _check_simplex(vals: np.ndarray, tol: float) -> None:
 
 @dataclass(frozen=True)
 class ThresholdSearch:
-    """Outcome of the measure-matching fixed point."""
+    """Outcome of the measure-matching sweeps."""
 
     z: ThresholdVector
     measures: np.ndarray
@@ -130,34 +130,48 @@ class ThresholdSearch:
     converged: bool
 
 
-def _match_threshold_on_values(FX: np.ndarray, target: np.ndarray, tol: float, max_iter: int) -> ThresholdSearch:
+_MAX_SWEEPS = 32  # label sweeps per threshold search
+
+
+def _match_threshold_on_values(FX: np.ndarray, target: np.ndarray, tol: float) -> ThresholdSearch:
+    """Sweeps of exact per-label cuts from z = 0.  A point takes label j
+    when gap_j = F_j - max_{i != j} (F_i - z_i) exceeds z_j, so a sweep
+    puts each z_j in turn midway between two distinct sorted gaps, with
+    round(target_j N) points above it as nearly as tied blocks allow, then
+    shifts z so that z_k = 0.  The sweeps are not monotone on tied values,
+    so the best iterate is kept; the search stops at tol, on a repeated z
+    or after _MAX_SWEEPS sweeps.  ``iterations`` counts the z evaluated."""
     n_samples, k = FX.shape
-    z = np.zeros(k)
-    eta = 1.0
-    best = None
-    prev_err = math.inf
-    for it in range(1, max_iter + 1):
-        lab = round_values(FX, z)
-        mu = np.bincount(lab, minlength=k + 1)[1:] / n_samples
+    counts = np.clip(np.rint(np.asarray(target) * n_samples), 0, n_samples).astype(np.int64)
+    seen, best = [np.zeros(k)], None
+    while True:
+        mu = label_measures(round_values(FX, seen[-1]), k)
         err = float(np.abs(mu - target).sum())
-        if best is None or err < best[0]:
-            best = (err, z.copy(), mu, it)
-        if err <= tol:
-            return ThresholdSearch(ThresholdVector(z), mu, err, it, True)
-        if err > prev_err + 1e-12:
-            eta *= 0.5
-        z = z + eta * (mu - target)
+        if best is None or err < best[1]:
+            best = (seen[-1], err, mu)
+        if err <= tol or len(seen) > _MAX_SWEEPS:
+            break
+        z = seen[-1].copy()
+        for j in range(k):
+            gap = np.sort(FX[:, j] - np.max([FX[:, i] - z[i] for i in range(k) if i != j], axis=0))
+            cut = n_samples - counts[j]  # points at or below the cut
+            if cut < n_samples:  # a tied block moves whole, to its nearer side
+                lo, hi = np.searchsorted(gap, gap[cut], "left"), np.searchsorted(gap, gap[cut], "right")
+                cut = lo if cut - lo <= hi - cut else hi
+            gap = np.concatenate(([gap[0] - 2.0], gap, [gap[-1] + 2.0]))  # cuts past either end
+            z[j] = (gap[cut] + gap[cut + 1]) / 2.0
         z -= z[-1]
-        prev_err = err
-    err, z, mu, it = best
-    return ThresholdSearch(ThresholdVector(z), mu, err, it, False)
+        if any(np.array_equal(z, prev) for prev in seen):
+            break
+        seen.append(z)
+    z, err, mu = best
+    return ThresholdSearch(ThresholdVector(z), mu, err, len(seen), err <= tol)
 
 
 def find_matching_threshold(
     F,
     target,
     tol: float,
-    max_iter: int,
     samples: int,
     seed: int,
     n: int | None = None,
@@ -165,9 +179,9 @@ def find_matching_threshold(
 ) -> ThresholdSearch:
     """Find z so the rounded partition's measures match ``target`` in l1.
 
-    Damped fixed point z_j <- z_j + eta (mu_j(z) - target_j) on one fixed
-    sample set (common random numbers); eta halves whenever the error
-    oscillates upward.  Non-convergence returns the best iterate with
+    F is evaluated once on a seeded sample (common random numbers), and z
+    comes from exact per-label quantile cuts on those values.  Tied values
+    can put tol out of reach; the best iterate then comes back with
     ``converged`` false rather than raising.
     """
     target = np.asarray(target, dtype=float)
@@ -175,14 +189,13 @@ def find_matching_threshold(
         raise ValueError("target measures must sum to 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    k = k if k is not None else target.shape[0]
     if n is None:
         raise ValueError("pass the ambient dimension n")
     rng = gaussian_rng(seed)
     X = rng.standard_normal((samples, n))
     FX = np.asarray(F(X), dtype=float)
     _check_simplex(FX, 1e-6)
-    return _match_threshold_on_values(FX, target, tol, max_iter)
+    return _match_threshold_on_values(FX, target, tol)
 
 
 def smoothed_partition_values(f: PartitionFn, t: float, X: np.ndarray, quad_order: int = 32) -> np.ndarray:
@@ -212,7 +225,7 @@ def smoothed_partition_values(f: PartitionFn, t: float, X: np.ndarray, quad_orde
     form = interval_form(f)
     if form is not None:
         return form.cell_probs(rho * np.einsum("xi,i->x", X, form.direction), scale)
-    if isinstance(f, Tabulated) and f.n <= 12:
+    if isinstance(f, Tabulated):
         return _smooth_sign_table(f, ndtr(rho * X / scale))
     if isinstance(f, MultiPTF) and f.n <= MAX_QUADRATURE_DIM:
         return _smooth_ptf(f, rho, scale, X, quad_order)
@@ -359,7 +372,6 @@ def stability_of_rounding(
     samples: int = 200_000,
     seed: int = 0,
     quad_order: int = 32,
-    max_iter: int = 400,
 ) -> RoundingReport:
     """Smooth f with P_t, round back with measure matching, compare.
 
@@ -377,13 +389,11 @@ def stability_of_rounding(
     target = label_measures(lf_x, f.k)
     FX = smoothed_partition_values(f, t, X, quad_order)
     FY = smoothed_partition_values(f, t, Y, quad_order)
-    search = _match_threshold_on_values(FX, target, tol, max_iter)
+    search = _match_threshold_on_values(FX, target, tol)
     gx = round_values(FX, search.z)
     gy = round_values(FY, search.z)
     stab_g = float(np.mean(gx == gy))
     cross = float(np.mean(gx == lf_y))
-    measures_g = label_measures(gx, f.k)
-    slack = float(np.abs(measures_g - target).sum())
     return RoundingReport(
         stab_f=stab_f,
         stab_g=stab_g,
@@ -391,8 +401,8 @@ def stability_of_rounding(
         se_g=binomial_se(stab_g, samples),
         z=search.z,
         measures_f=target,
-        measures_g=measures_g,
-        measure_slack=slack,
+        measures_g=search.measures,
+        measure_slack=search.l1_error,
         cross=cross,
         t=t,
         samples=samples,

@@ -280,12 +280,10 @@ def _rounded_candidate(cfg: SearchConfig, ptf: MultiPTF, X, Y):
     then-round image of ptf; tuples compare feasible first."""
     FX = smoothed_partition_values(ptf, cfg.t, X, cfg.quad_order)
     FY = smoothed_partition_values(ptf, cfg.t, Y, cfg.quad_order)
-    search = _match_threshold_on_values(FX, cfg.target_mu, cfg.measure_tol, 200)
+    search = _match_threshold_on_values(FX, cfg.target_mu, cfg.measure_tol)
     gx = round_values(FX, search.z)
     gy = round_values(FY, search.z)
-    mu = label_measures(gx, cfg.k)
-    feasible = float(np.abs(mu - cfg.target_mu).sum()) <= cfg.measure_tol
-    return feasible, float(np.mean(gx == gy)), mu, search
+    return search.converged, float(np.mean(gx == gy)), search.measures, search
 
 
 def _optimize_local(cfg: SearchConfig, X, Y) -> SearchResult:

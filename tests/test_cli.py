@@ -163,6 +163,28 @@ class TestOtherCommands:
         )
         assert "disagreement" in res and "bound" in res
 
+    def test_round_sign_table_past_twelve_bits(self, tmp_path, capsys):
+        # majority on 13 bits takes the exact sign-table smoothing
+        from gstab.cube import make_voting_rule
+        from gstab.partitions import Tabulated
+
+        path = tmp_path / "majority13.json"
+        path.write_text(partition_to_json(Tabulated(make_voting_rule("majority", 13, 2))))
+        code, out = run_cli(
+            ["round", "--partition", str(path), "--t", "0.5", "--samples", "2000"], capsys
+        )
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["converged"] and res["measure_slack"] <= 0.01
+
+    def test_borell_check_halfspace_value_is_exact(self, capsys):
+        code, out = run_cli(
+            ["borell-check", "--rho", "0.99", "--trials", "1", "--samples", "1000"], capsys
+        )
+        assert code == 0
+        row = json.loads(out)["result"]["rows"][0]
+        assert row["halfspace"] == pytest.approx(1 - math.acos(0.99) / math.pi, rel=1e-15)
+
     def test_hermite_command(self, halfspace_file, capsys):
         code, out = run_cli(
             ["hermite", "--partition", halfspace_file, "--max-degree", "3"], capsys
@@ -280,15 +302,16 @@ class TestExitCodes:
         assert json.loads(out)["result"]["stability"] == pytest.approx(0.25, abs=1e-12)
 
     def test_numeric_failure_exit(self, tmp_path, capsys):
-        # one iteration cannot match the measures of a skewed partition
+        # at t = 50 the smoothed values of a skewed partition are one
+        # constant in double precision, so no threshold splits the points
         from scipy.special import ndtri
         from gstab.partitions import Slabs
 
         path = tmp_path / "skew.json"
         path.write_text(partition_to_json(Slabs(0, [ndtri(0.3)], [1, 2], n=1)))
         code = cli_dispatch(
-            ["round", "--partition", str(path), "--t", "0.7",
-             "--samples", "20000", "--tol", "1e-4", "--max-iter", "1"]
+            ["round", "--partition", str(path), "--t", "50",
+             "--samples", "20000", "--tol", "1e-4"]
         )
         assert code == 3
 

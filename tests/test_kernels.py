@@ -366,8 +366,8 @@ GUARD = textwrap.dedent(
     import numpy as np
     from gstab.chaos import GramSpec, PolyGauss, matched_family, pair_block_product_difference
     from gstab.cube import cube_influences, cube_stability, make_voting_rule
-    from gstab.partitions import Halfspace, MultiPTF, estimate_stability
-    from gstab.rounding import smoothed_partition_values
+    from gstab.partitions import Halfspace, MultiPTF, equal_slabs, estimate_stability
+    from gstab.rounding import _match_threshold_on_values, smoothed_partition_values
     from gstab.tensors import SymmetricTensor, symmetrize
 
     rng = np.random.default_rng(5)
@@ -384,6 +384,7 @@ GUARD = textwrap.dedent(
     X2 = rng.standard_normal((1_000_000, 2))
     X3 = rng.standard_normal((1_000_000, 3))
     majority = make_voting_rule("majority", 17, 2)
+    F3 = smoothed_partition_values(equal_slabs(3), 0.5, X2[:, :1])
     wall, cpu = time.perf_counter(), time.process_time()
     estimate_stability(h, None, 2_000_000, 0, rho=0.6)
     ptf.labels(X2)
@@ -391,6 +392,7 @@ GUARD = textwrap.dedent(
     smoothed_partition_values(h, 0.5, X3)
     cube_stability(majority, 0.6)
     cube_influences(majority)
+    _match_threshold_on_values(F3, np.array([0.2, 0.5, 0.3]), 0.01)
     print(time.process_time() - cpu, time.perf_counter() - wall)
     """
 )

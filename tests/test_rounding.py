@@ -9,9 +9,11 @@ from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 from conftest import random_partition
+from gstab.gauss import label_measures
 from gstab.partitions import Halfspace, MultiPTF, Slabs, equal_slabs
 from gstab.rounding import (
     ThresholdVector,
+    _match_threshold_on_values,
     find_matching_threshold,
     ptf_from_truncation,
     round_values,
@@ -78,10 +80,10 @@ class TestFindMatchingThreshold:
     def test_non_finite_values_rejected(self, bad):
         F = lambda X: np.where(X[:, :1] > 2, bad, simplex_pair(X))
         with pytest.raises(ArithmeticError):
-            find_matching_threshold(F, [0.5, 0.5], tol=0.01, max_iter=50, samples=10_000, seed=1, n=1, k=2)
+            find_matching_threshold(F, [0.5, 0.5], tol=0.01, samples=10_000, seed=1, n=1, k=2)
     def test_symmetric_target_immediate(self):
         res = find_matching_threshold(
-            simplex_pair, [0.5, 0.5], tol=0.01, max_iter=50,
+            simplex_pair, [0.5, 0.5], tol=0.01,
             samples=100_000, seed=1, n=1, k=2,
         )
         assert res.converged
@@ -91,7 +93,7 @@ class TestFindMatchingThreshold:
         # label 1 carries 1 - Phi(x), so measure 0.3 puts the cut at
         # the 0.3 upper-quantile of F_1, i.e. x = Phi^{-1}(0.3)
         res = find_matching_threshold(
-            simplex_pair, [0.3, 0.7], tol=0.005, max_iter=200,
+            simplex_pair, [0.3, 0.7], tol=0.005,
             samples=300_000, seed=2, n=1, k=2,
         )
         assert res.converged
@@ -103,18 +105,71 @@ class TestFindMatchingThreshold:
         f = equal_slabs(3)
         F = lambda X: smoothed_partition_values(f, 0.5, X)
         res = find_matching_threshold(
-            F, [1 / 3, 1 / 3, 1 / 3], tol=0.01, max_iter=300,
+            F, [1 / 3, 1 / 3, 1 / 3], tol=0.01,
             samples=200_000, seed=3, n=1, k=3,
         )
         assert res.converged
         assert res.l1_error <= 0.01
 
     def test_nonconvergence_flagged(self):
-        res = find_matching_threshold(
-            simplex_pair, [0.3, 0.7], tol=1e-9, max_iter=3,
-            samples=10_000, seed=4, n=1, k=2,
-        )
+        # constant values tie every point, so the rounding puts all of
+        # them in one cell whatever z is: [0.3, 0.7] is out of reach
+        F = lambda X: np.full((X.shape[0], 2), 0.5)
+        res = find_matching_threshold(F, [0.3, 0.7], tol=0.01, samples=10_000, seed=4, n=1, k=2)
         assert not res.converged
+        assert res.l1_error == pytest.approx(0.6, abs=1e-12)
+
+    def test_balanced_slabs_match(self):
+        # a damped fixed point stalled here at slack 0.18 against tol 0.01
+        f = Slabs(0, [-0.43072729929545744, 0.4307272992954577], [3, 1, 2], n=2, k=3)
+        rep = stability_of_rounding(f, 0.7, samples=200_000, seed=1624676301)
+        assert rep.converged and rep.measure_slack <= 0.01
+
+
+class TestQuantileSweeps:
+    """The matcher on raw values: exact on tie-free values, never worse
+    than z = 0 on tied ones, and reporting the measures of its own z."""
+
+    @staticmethod
+    def _values(seed, k, n, levels):
+        rng = np.random.default_rng(seed)
+        if levels:  # a few distinct values per column, so many ties
+            raw = rng.integers(0, levels, (n, k)) + 0.5
+        else:
+            raw = rng.exponential(size=(n, k))
+        counts = rng.multinomial(n, rng.dirichlet(np.ones(k)))
+        return raw / raw.sum(axis=1, keepdims=True), counts / n
+
+    def test_best_iterate_is_kept(self):
+        # on these tied values the first sweep is 2 of 7 points off and the
+        # second 4 of 7; the first is returned
+        raw = np.array([[2, 1, 1, 1], [1, 1, 0, 1], [2, 1, 1, 2], [0, 2, 0, 1],
+                        [2, 2, 2, 2], [0, 0, 1, 0], [2, 2, 1, 0]]) + 0.5
+        FX = raw / raw.sum(axis=1, keepdims=True)
+        res = _match_threshold_on_values(FX, np.array([0, 3, 2, 2]) / 7, 0.01)
+        assert not res.converged and res.iterations == 3
+        assert res.l1_error == pytest.approx(2 / 7, abs=1e-12)
+        np.testing.assert_array_equal(res.measures * 7, [0, 2, 3, 2])
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 7),
+        n=st.integers(20, 3000),
+        levels=st.sampled_from([0, 0, 2, 3, 5]),
+    )
+    def test_sweeps(self, seed, k, n, levels):
+        FX, target = self._values(seed, k, n, levels)
+        res = _match_threshold_on_values(FX, target, 0.5 / n)
+        labels = round_values(FX, res.z)
+        np.testing.assert_array_equal(res.measures, label_measures(labels, k))
+        assert res.l1_error == float(np.abs(res.measures - target).sum())
+        assert res.converged == (res.l1_error <= 0.5 / n)
+        if levels:
+            at_zero = label_measures(round_values(FX, np.zeros(k)), k)
+            assert res.l1_error <= float(np.abs(at_zero - target).sum())
+        else:
+            assert res.converged and res.l1_error == 0.0
 
 
 class TestSmoothedValues:
@@ -365,7 +420,7 @@ class TestSimplexInvariant:
 class TestSymmetricThreshold:
     def test_symmetric_target_accepted_at_zero(self):
         res = find_matching_threshold(
-            simplex_pair, [0.5, 0.5], tol=0.02, max_iter=50,
+            simplex_pair, [0.5, 0.5], tol=0.02,
             samples=200_000, seed=6, n=1, k=2,
         )
         assert res.converged and res.iterations == 1

@@ -112,20 +112,47 @@ class TestOptimizeStability:
         assert res.feasible
         assert res.stability >= slabs_baseline - 0.01
 
-    def test_local_mode_prefers_feasible_candidates(self):
-        # on this seed the restart and its first step round every point to
-        # label 1 (stability 1, unmatchable); the second step matches
+    def test_local_mode_prefers_feasible_candidates(self, monkeypatch):
+        # the restart and its first step report every point in label 1
+        # (stability 1, unmatched); the second step is scored as it is
+        from gstab import search
+
+        rounded = search._rounded_candidate
+        calls = []
+
+        def first_two_unmatched(cfg, ptf, X, Y):
+            cand = rounded(cfg, ptf, X, Y)
+            calls.append(cand)
+            if len(calls) <= 2:
+                return False, 1.0, np.array([1.0, 0.0, 0.0]), cand[3]
+            return cand
+
+        monkeypatch.setattr(search, "_rounded_candidate", first_two_unmatched)
         cfg = SearchConfig(
             k=3, n0=2, d=1, t=math.log(2), target_mu=[1 / 3] * 3,
             measure_tol=0.02, budget=3, mode="random-restart-local", seed=30,
             samples=3000, quad_order=16,
         )
         res = optimize_stability(cfg)
+        assert len(calls) == 3
         assert [v for _, _, v, _ in res.trace][:2] == [1.0, 1.0]
         assert res.feasible
         assert np.abs(res.measures - cfg.target_mu).sum() <= cfg.measure_tol
         assert res.stability == res.trace[2][2]
         assert res.stability < 1.0
+
+    def test_local_mode_winner_is_matched(self):
+        # here a damped matcher never left z = 0 and the winner had every
+        # point in label 1
+        cfg = SearchConfig(
+            k=3, n0=2, d=1, t=math.log(2), target_mu=[1 / 3] * 3,
+            measure_tol=0.02, budget=1, mode="random-restart-local", seed=556892110,
+            samples=30000, quad_order=16,
+        )
+        res = optimize_stability(cfg)
+        assert res.feasible
+        assert np.abs(res.measures - cfg.target_mu).sum() <= cfg.measure_tol
+        assert res.measures.max() < 1.0 and res.stability < 1.0
 
     def test_config_round_trip(self):
         cfg = SearchConfig(

@@ -6,7 +6,10 @@ which must match exactly, and floating-point sums, which must match
 within rel=1e-12 (any change of stream moves them by far more).  The
 expected values were recorded at commit 203c612, before the Monte Carlo
 helpers were shared, so a refactor that reorders draws, changes a stream
-index or splits blocks differently fails here.
+index or splits blocks differently fails here.  The "rounding" entries
+that follow the threshold matcher (the rounded stability, the cross term,
+the rounded measures, their SE and z) were re-recorded when the matcher
+became exact quantile sweeps; its unrounded entries did not move.
 """
 import math
 
@@ -305,10 +308,10 @@ EXPECTED = {
     },
     "rounding": {
         "converged": True,
-        "measures": [1316, 1351, 1333, 1311, 1367, 1322],
-        "se": [0.00788222287809727, 0.00788460128985607],
-        "stab": [2154, 2146, 2151],
-        "z": [-0.0015000000000000568, -0.026250000000000023, 0.0],
+        "measures": [1316, 1351, 1333, 1316, 1351, 1333],
+        "se": [0.00788222287809727, 0.007881608338404034],
+        "stab": [2154, 2156, 2154],
+        "z": [-8.392399020951125e-06, -0.023140525610151175, 0.0],
     },
     "stability": {
         "hits": [3587, 1339, 2838],
