@@ -337,7 +337,6 @@ class EigenReport:
     per_partition: dict[tuple[int, tuple[int, ...]], float]
     variance: float
     ratio: float
-    converged: bool
 
 
 def _canonical_bipartitions(q: int):
@@ -350,38 +349,39 @@ def _canonical_bipartitions(q: int):
                 yield left
 
 
-def eigenregularity(p, tol: float = 1e-9, max_iter: int = 10_000) -> EigenReport:
+def eigenregularity(p) -> EigenReport:
     """Flattening spectral report for components of order >= 2.
 
+    Every flattening value is an exact top singular value (one SVD per
+    bipartition, see flattening_top_singular_value), so the report
+    carries no convergence flag or tolerance.
     Order-1 components are excluded from lambda_max by convention.  For a
     BlockPoly the report is computed on the base and scaled by
     1/sqrt(kappa): the flattening of a repeated-disjoint-block tensor is
     block diagonal, so its top singular value is the block's.
     """
     if isinstance(p, BlockPoly):
-        rep = eigenregularity(p.base, tol=tol, max_iter=max_iter)
+        rep = eigenregularity(p.base)
         s = 1.0 / math.sqrt(p.kappa)
         per = {k: v * s for k, v in rep.per_partition.items()}
         lam = rep.lambda_max * s
         var = p.variance()
-        return EigenReport(lam, per, var, lam / math.sqrt(var), rep.converged)
+        return EigenReport(lam, per, var, lam / math.sqrt(var))
     if not any(q >= 2 for q in p.chaos):
         raise ValueError("eigenregularity needs a component of order >= 2")
     per: dict[tuple[int, tuple[int, ...]], float] = {}
     lam = 0.0
-    converged = True
     for q, t in sorted(p.chaos.items()):
         if q < 2:
             continue
         for left in _canonical_bipartitions(q):
-            val, ok = flattening_top_singular_value(t, left, tol=tol, max_iter=max_iter)
-            converged = converged and ok
+            val = flattening_top_singular_value(t, left)
             per[(q, left)] = val
             lam = max(lam, val)
     var = p.variance()
     if var <= 0.0:
         raise ValueError("eigenregularity needs positive variance")
-    return EigenReport(lam, per, var, lam / math.sqrt(var), converged)
+    return EigenReport(lam, per, var, lam / math.sqrt(var))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,13 @@ Command-line interface: reproducible experiments with JSON/CSV output.
 
 Every run emits a manifest (command, config path, seed, git description,
 output paths) alongside its results; identical inputs give byte-identical
-outputs on one platform.  Exit codes: 0 success, 2 usage error, 3 numeric
-failure (e.g. a threshold search that did not converge).  Diagnostics go
-to stderr.
+outputs on one platform.  Each subcommand takes only the flags it reads:
+--out and --format everywhere, --seed and --samples on the sampling
+subcommands, --config on search.  The manifest seed is the seed the run
+used: --seed, the config's seed for search, and null for the exact
+subcommands (hermite, tensor, basis, cube).  Exit codes: 0 success, 2
+usage error, 3 numeric failure (e.g. a threshold search that did not
+converge).  Diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -15,12 +19,10 @@ import math
 import subprocess
 import sys
 
-import numpy as np
-
 from . import __version__
 from .chaos import eigenregularity, poly_product, variance_bounds
 from .cube import cube_influences, cube_stability, make_voting_rule
-from .gauss import check_rho
+from .gauss import check_rho, gaussian_rng
 from .hermite import expand, spectral_weights
 from .partitions import (
     MultiPTF,
@@ -167,7 +169,7 @@ def _cmd_borell_check(args):
     rho = _rho_args(args)
     if rho < 0:
         raise SystemExit2(f"borell-check needs rho >= 0 (Borell's inequality reverses below 0), got {rho}")
-    rng = np.random.default_rng(args.seed)
+    rng = gaussian_rng(args.seed)
     half = 2.0 * sheppard_orthant(rho)
     rows = []
     violations = 0
@@ -288,6 +290,7 @@ def _cmd_cube(args):
 def _cmd_search(args):
     with open(args.config) as fh:
         cfg = SearchConfig.from_json(fh.read())
+    args.seed = cfg.seed  # the manifest records the seed the run used
     res = optimize_stability(cfg)
     doc = json.loads(res.to_json())
     if not res.feasible:
@@ -312,12 +315,14 @@ def _cmd_ncd(args):
 # --------------------------------------------------------------------------
 
 
-def _add_common(p, samples=100_000):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=samples)
+def _add_output(p):
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--config", default=None)
+
+
+def _add_sampling(p, samples=100_000):
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=samples)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--cell", type=int, default=None)
-    _add_common(p)
+    _add_sampling(p)
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("borell-check", help="random balanced partitions vs the halfspace")
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--pieces", type=int, default=4)
-    _add_common(p)
+    _add_sampling(p)
     p.set_defaults(func=_cmd_borell_check)
 
     p = sub.add_parser("round", help="smooth-threshold-round pipeline report")
@@ -345,32 +350,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--tol", type=float, default=0.01)
     p.add_argument("--degree", type=int, default=0)
-    _add_common(p, samples=200_000)
+    _add_sampling(p, samples=200_000)
     p.set_defaults(func=_cmd_round)
 
     p = sub.add_parser("hermite", help="expansion and spectral weights of a partition")
     p.add_argument("--partition", required=True)
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--quad-order", type=int, default=40)
-    _add_common(p)
     p.set_defaults(func=_cmd_hermite)
 
     p = sub.add_parser("tensor", help="eigenregularity / products / variance bounds")
     p.add_argument("--partition", required=True)
     p.add_argument("--op", choices=["eigen", "ito-product", "variance-bounds", "all"], default="all")
-    _add_common(p)
     p.set_defaults(func=_cmd_tensor)
 
     p = sub.add_parser("basis", help="maximal-correlation basis of a joint distribution")
     p.add_argument("--dist", required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("simulate", help="block strategies on a finite source")
     p.add_argument("--dist", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--ell", type=int, default=64)
-    _add_common(p, samples=200_000)
+    _add_sampling(p, samples=200_000)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("cube", help="voting-rule stability and influences")
@@ -379,15 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--t", type=float, default=None)
-    _add_common(p)
     p.set_defaults(func=_cmd_cube)
 
     p = sub.add_parser("search", help="optimize stability from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("ncd", help="correlation-distillation decider and oracle")
@@ -398,9 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n-max", type=int, default=2)
     p.add_argument("--oracle-n", type=int, default=0)
-    _add_common(p)
+    _add_sampling(p)
     p.set_defaults(func=_cmd_ncd)
 
+    for p in sub.choices.values():
+        _add_output(p)
     return ap
 
 

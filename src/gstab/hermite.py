@@ -50,31 +50,20 @@ COEFF_DROP = 1e-14
 
 
 def eval_vector_function(f, points: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Evaluate f on an (N, n) batch, returning (N, k).
+    """Evaluate a batched callable f on an (N, n) batch, returning (N, k).
 
-    Accepts batched callables (preferred) returning (N,), (N, k) or scalar
-    rows; falls back to a per-row loop for plain scalar callables, that is
-    when the batched call raises and the first row alone succeeds.
-    Otherwise the batched call's exception propagates.
+    f takes the whole batch and returns (N,) or (N, k); any other shape
+    raises ValueError, and an exception from f propagates.
     """
     n_pts = points.shape[0]
-    try:
-        vals = np.asarray(f(points), dtype=float)
-    except Exception:
-        try:
-            rows = [f(points[0])]
-        except Exception:
-            rows = None
-        if rows is None:
-            raise
-        rows += [f(points[i]) for i in range(1, n_pts)]
-        vals = np.stack([np.atleast_1d(np.asarray(r, dtype=float)) for r in rows], axis=0)
+    vals = np.asarray(f(points), dtype=float)
     if vals.ndim == 1:
-        if vals.shape[0] != n_pts:
-            raise ValueError("function returned a shape incompatible with the batch")
         vals = vals[:, None]
-    if vals.shape[0] != n_pts:
-        raise ValueError("function returned a shape incompatible with the batch")
+    if vals.ndim != 2 or vals.shape[0] != n_pts:
+        raise ValueError(
+            f"function returned shape {vals.shape} on a batch of {n_pts} points; "
+            "expected (N,) or (N, k)"
+        )
     if k is not None and vals.shape[1] != k:
         raise ValueError(f"expected {k} output components, got {vals.shape[1]}")
     if not np.all(np.isfinite(vals)):
@@ -134,19 +123,6 @@ class HermiteExpansion:
                 acc += float(np.dot(c, d))
         return acc
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Value of the (truncated) expansion at one point."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        table = hermite_table(self.max_degree, x)
-        out = np.zeros(self.k)
-        for S, c in self.coeffs.items():
-            h = 1.0
-            for i, q in enumerate(S):
-                if q:
-                    h *= table[q, i]
-            out += h * c
-        return out
-
     def to_json(self) -> str:
         entries = [
             {"index": list(S), "coeff": list(map(float, c))}
@@ -184,6 +160,13 @@ def expand(f, n: int, max_degree: int, quad_order: int = 40, k: int | None = Non
     Coefficients with ||fhat(S)|| below 1e-14 are dropped so that exact
     sparsity patterns (e.g. eigenfunctions) stay exact.
     """
+    rule, points, _ = _expansion_grid(n, max_degree, quad_order)
+    return _expand_values(eval_vector_function(f, points, k=k), rule, n, max_degree)
+
+
+def _expansion_grid(n: int, max_degree: int, quad_order: int):
+    """(rule, points, weights) of the order-``quad_order`` tensor grid
+    that expands up to ``max_degree`` in n dimensions."""
     if n > MAX_QUADRATURE_DIM:
         raise ValueError(
             f"quadrature expansion limited to n <= {MAX_QUADRATURE_DIM}"
@@ -191,13 +174,17 @@ def expand(f, n: int, max_degree: int, quad_order: int = 40, k: int | None = Non
     if quad_order <= max_degree:
         raise ValueError("quad_order must exceed max_degree")
     rule = gauss_hermite_rule(quad_order)
-    points, _ = tensor_grid(rule, n)
-    vals = eval_vector_function(f, points, k=k)
-    kk = vals.shape[1]
+    return (rule, *tensor_grid(rule, n))
+
+
+def _expand_values(vals: np.ndarray, rule, n: int, max_degree: int) -> HermiteExpansion:
+    """The expansion of ``expand`` from f's (m^n, k) values on the
+    order-m tensor grid of ``rule``."""
+    m, kk = rule.nodes.shape[0], vals.shape[1]
     # the "ij" grid order makes axis i coordinate i; each axis contracts
     # against w(y) H_q(y) over the one-dimensional nodes
     B = hermite_table(max_degree, rule.nodes).T * rule.weights[:, None]
-    full = contract_axes(vals.reshape((quad_order,) * n + (kk,)), B, n)
+    full = contract_axes(vals.reshape((m,) * n + (kk,)), B, n)
     coeffs: dict[tuple[int, ...], np.ndarray] = {}
     for S in degree_indices(n, max_degree):
         if np.linalg.norm(full[S]) >= COEFF_DROP:
@@ -275,43 +262,39 @@ def tail_two_ways(
     n: int,
     d: int,
     total_mass: float,
-    high_degree: int | None = None,
     quad_order: int = 40,
     k: int | None = None,
-    tol: float = 1e-6,
 ) -> TailReport:
     """Compare the Parseval-residual tail with explicit high-degree sums.
 
     The residual route is the exact ``total_mass`` minus the coefficient
     mass up to degree d.  The explicit route sums quadrature coefficients
-    on degrees (d, high_degree] plus the residual above high_degree taken
-    against the quadrature value of E||f||^2, so it never sees the exact
-    total.  The routes coincide exactly when quadrature integrates f
-    faithfully; a gap beyond ``tol`` flags a quadrature failure for this
+    on degrees (d, d + 6] plus the residual above d + 6 taken against the
+    quadrature value of E||f||^2, so it never sees the exact total.  Both
+    come from one evaluation of f on the order-``quad_order`` tensor grid
+    (quad_order must exceed d + 6).  The routes coincide exactly when
+    quadrature integrates f faithfully; ``agree`` is false when they
+    differ by more than 1e-6, which flags a quadrature failure for this
     integrand.
     """
-    high_degree = high_degree if high_degree is not None else d + 6
-    if high_degree <= d:
-        raise ValueError("high_degree must exceed d")
-    rule = gauss_hermite_rule(quad_order)
-    points, weights = tensor_grid(rule, n)
+    high_degree = d + 6
+    rule, points, weights = _expansion_grid(n, high_degree, quad_order)
     vals = eval_vector_function(f, points, k=k)
     quad_mass = float(np.dot(weights, np.sum(vals**2, axis=1)))
-    e_hi = expand(f, n, high_degree, quad_order=quad_order, k=k)
-    mass = e_hi.degree_mass()
+    mass = _expand_values(vals, rule, n, high_degree).degree_mass()
     residual = total_mass - float(mass[: d + 1].sum())
     explicit = float(mass[d + 1 :].sum()) + (quad_mass - float(mass.sum()))
-    return TailReport(residual, explicit, abs(residual - explicit) <= tol)
+    return TailReport(residual, explicit, abs(residual - explicit) <= 1e-6)
 
 
-def gradient_tail_bound(grad_l1: float, d: int, constant: float = 1.0) -> float:
-    """Diagnostic upper bound constant * E|grad f| / sqrt(d) on W^{>=d}.
+def gradient_tail_bound(grad_l1: float, d: int) -> float:
+    """Diagnostic upper bound E|grad f| / sqrt(d) on W^{>=d}.
 
-    The decay rate is the meaningful part; the constant in front is
-    configurable and defaults to 1.
+    The decay rate in d is the meaningful part; the unit constant in
+    front is a convention, not a proven sharp value.
     """
     if grad_l1 < 0:
         raise ValueError("gradient magnitude must be >= 0")
     if d < 1:
         raise ValueError("d must be >= 1")
-    return constant * grad_l1 / math.sqrt(d)
+    return grad_l1 / math.sqrt(d)

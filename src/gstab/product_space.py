@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 MAX_ENUM_POINTS = 1 << 17
+TIE_DITHER = 1e-9  # scale of the tie-breaking symbol in BlockStrategy
 
 
 @dataclass
@@ -253,10 +254,15 @@ def exact_correlation(f_table: np.ndarray, g_table: np.ndarray, P: JointDist, n:
         raise ValueError("enumeration budget exceeded")
     f_flat = np.asarray(f_table, dtype=float).reshape(mA**n, -1)
     g_flat = np.asarray(g_table, dtype=float).reshape(mB**n, -1)
-    weight = np.ones((1, 1))
+    return float(np.einsum("xy,xk,yk->", _word_law(P.P, n), f_flat, g_flat))
+
+
+def _word_law(law: np.ndarray, n: int) -> np.ndarray:
+    """Law of length-n words from a per-symbol law (marginal or joint)."""
+    w = np.ones((1,) * law.ndim)
     for _ in range(n):
-        weight = np.kron(weight, P.P)
-    return float(np.einsum("xy,xk,yk->", weight, f_flat, g_flat))
+        w = np.kron(w, law)
+    return w
 
 
 @dataclass
@@ -265,7 +271,7 @@ class BlockStrategy:
 
     Consumes n0*ell symbols (plus one for the optional tie dither); block
     i feeds (sum_j basis[x_{i,j}]) / sqrt(ell) into coordinate i of the
-    partition.  The dither adds eps * basis[extra symbol] to every
+    partition.  The dither adds TIE_DITHER * basis[extra symbol] to every
     coordinate, splitting boundary atoms of lattice-valued averages
     between the adjacent cells without moving interior points.
     """
@@ -274,7 +280,6 @@ class BlockStrategy:
     basis_values: np.ndarray
     ell: int
     tie_break: bool = False
-    dither: float = 1e-9
 
     @property
     def n_coords(self) -> int:
@@ -293,7 +298,7 @@ class BlockStrategy:
         vals = self.basis_values[main].reshape(-1, n0, self.ell)
         z = vals.sum(axis=2) / math.sqrt(self.ell)
         if self.tie_break:
-            z = z + self.dither * self.basis_values[symbols[:, -1]][:, None]
+            z = z + TIE_DITHER * self.basis_values[symbols[:, -1]][:, None]
         return self.partition.labels(z)
 
 

@@ -174,12 +174,12 @@ def find_matching_threshold(
     tol: float,
     samples: int,
     seed: int,
-    n: int | None = None,
-    k: int | None = None,
+    n: int,
 ) -> ThresholdSearch:
     """Find z so the rounded partition's measures match ``target`` in l1.
 
-    F is evaluated once on a seeded sample (common random numbers), and z
+    F is evaluated once on a seeded sample of ``samples`` standard
+    Gaussian points in R^n (common random numbers), and z
     comes from exact per-label quantile cuts on those values.  Tied values
     can put tol out of reach; the best iterate then comes back with
     ``converged`` false rather than raising.
@@ -189,8 +189,6 @@ def find_matching_threshold(
         raise ValueError("target measures must sum to 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if n is None:
-        raise ValueError("pass the ambient dimension n")
     rng = gaussian_rng(seed)
     X = rng.standard_normal((samples, n))
     FX = np.asarray(F(X), dtype=float)

@@ -30,6 +30,7 @@ from .hermite import degree_indices
 from .partitions import MultiPTF, PartitionFn, Slabs, partition_to_json
 from .product_space import (
     JointDist,
+    _word_law,
     block_strategy,
     correlation_basis,
     estimate_discrete_corr,
@@ -436,14 +437,6 @@ NCD_PAIR_GUARD = 10_000_000  # strategy pairs one word length may enumerate
 _BLOCK_ENTRIES = 1 << 20  # array entries per enumeration block
 
 
-def _word_law(law: np.ndarray, n: int) -> np.ndarray:
-    """Law of length-n words from a per-symbol law (marginal or joint)."""
-    w = np.ones((1,) * law.ndim)
-    for _ in range(n):
-        w = np.kron(w, law)
-    return w
-
-
 def _feasible_tables(words: int, k: int, weights: np.ndarray, target, delta: float, step: int):
     """Label tables on ``words`` words whose cell masses lie within delta
     (l1) of target, yielded in blocks of at most ``step`` candidates as
@@ -513,7 +506,6 @@ def ncd_decide(
     kappa: float,
     delta: float,
     n_max: int = 2,
-    k: int | None = None,
     ell: int = 64,
     samples: int = 200_000,
     seed: int = 0,
@@ -535,7 +527,7 @@ def ncd_decide(
         raise ValueError("marginal targets must be distributions")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    k = k if k is not None else mu.shape[0]
+    k = mu.shape[0]
     best_val = 0.0  # agreement over an empty feasible set, as in the oracle
     best_detail = "no marginal-feasible pair found"
     best_pair = (None, None)

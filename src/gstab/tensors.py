@@ -288,14 +288,13 @@ def ito_product_tensors(f: SymmetricTensor, g: SymmetricTensor) -> dict[int, Sym
     }
 
 
-def flattening_top_singular_value(
-    t: SymmetricTensor, left_slots: tuple[int, ...], tol: float = 1e-9, max_iter: int = 10_000
-) -> tuple[float, bool]:
+def flattening_top_singular_value(t: SymmetricTensor, left_slots: tuple[int, ...]) -> float:
     """Top singular value of the matrix flattening along a bipartition.
 
     The slots in ``left_slots`` become matrix rows (dimension dim^|S|),
-    the rest columns.  Power iteration on M M^T with the stated tolerance;
-    returns (value, converged).
+    the rest columns.  The value is the spectral norm of that matrix,
+    from one LAPACK singular value decomposition, so it is exact to
+    roundoff however close the next singular value is.
     """
     order, dim = t.order, t.dim
     left = tuple(left_slots)
@@ -303,22 +302,4 @@ def flattening_top_singular_value(
     if not left or not right:
         raise ValueError("bipartition must be proper")
     mat = t.array.transpose(left + right).reshape(dim ** len(left), dim ** len(right))
-    norm = np.linalg.norm(mat)
-    if norm == 0.0:
-        return 0.0, True
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = mat @ v
-        u = mat.T @ w
-        s = np.linalg.norm(u)
-        if s == 0.0:
-            return 0.0, True
-        v = u / s
-        est = math.sqrt(s)
-        if abs(est - prev) <= tol * max(1.0, est):
-            return est, True
-        prev = est
-    return prev, False
+    return float(np.linalg.norm(mat, 2))

@@ -233,6 +233,32 @@ class TestOtherCommands:
         res = json.loads(out)["result"]
         assert res["feasible"]
 
+    def test_search_manifest_records_the_config_seed(self, tmp_path, capsys):
+        from gstab.search import SearchConfig
+
+        cfg = SearchConfig(
+            k=2, n0=1, d=1, t=0.7, target_mu=[0.5, 0.5], measure_tol=0.02,
+            budget=10, mode="grid-cover", seed=42, samples=5_000,
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        code, out = run_cli(["search", "--config", str(cfg_path)], capsys)
+        assert code == 0
+        assert json.loads(out)["manifest"]["seed"] == 42
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cube", "--rule", "dictator", "--n", "3", "--rho", "0.5"],
+            ["basis", "--dist", "{dist}"],
+            ["hermite", "--partition", "{half}", "--max-degree", "2"],
+        ],
+    )
+    def test_exact_subcommands_record_no_seed(self, argv, halfspace_file, dist_file, capsys):
+        code, out = run_cli([a.format(half=halfspace_file, dist=dist_file) for a in argv], capsys)
+        assert code == 0
+        assert json.loads(out)["manifest"]["seed"] is None
+
     def test_search_output_loads_as_partition(self, tmp_path, capsys):
         from gstab.search import SearchConfig
 
@@ -366,6 +392,35 @@ class TestExitCodes:
         )
         assert code == 2
         assert "thresholds z must be 3 finite numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(c, "--config") for c in ("stability", "borell-check", "round", "hermite", "tensor",
+                                   "basis", "simulate", "cube", "ncd")]
+        + [(c, f) for c in ("hermite", "tensor", "basis", "cube", "search")
+           for f in ("--seed", "--samples")],
+    )
+    def test_flag_the_subcommand_does_not_read_is_usage_error(
+        self, command, flag, halfspace_file, dist_file, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        valid = {
+            "stability": ["--partition", halfspace_file, "--rho", "0.5"],
+            "borell-check": ["--rho", "0.5"],
+            "round": ["--partition", halfspace_file, "--t", "0.5"],
+            "hermite": ["--partition", halfspace_file],
+            "tensor": ["--partition", halfspace_file],
+            "basis": ["--dist", dist_file],
+            "simulate": ["--dist", dist_file, "--partition", halfspace_file],
+            "cube": ["--rule", "majority", "--n", "3", "--rho", "0.5"],
+            "search": ["--config", str(cfg)],
+            "ncd": ["--dist", dist_file, "--mu", "[0.5,0.5]", "--nu", "[0.5,0.5]",
+                    "--kappa", "0.75", "--delta", "0.02"],
+        }
+        value = str(cfg) if flag == "--config" else "5"
+        assert cli_dispatch([command, *valid[command], flag, value]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_nonpositive_samples_are_usage_errors(self, halfspace_file, samples, capsys):

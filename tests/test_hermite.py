@@ -50,10 +50,24 @@ class TestExpand:
         with pytest.raises(ValueError):
             expand(lambda X: X[:, 0], 4, 2)
 
-    def test_scalar_callable_falls_back_to_rows(self):
-        # math.exp takes one number, so the batched call raises
-        e = expand(lambda x: math.exp(x[0]), 1, 4)
-        assert e.coeffs[(0,)][0] == pytest.approx(math.exp(0.5), abs=1e-6)
+    def test_scalar_callable_raises(self):
+        # callables must be batched: a row-wise one fails on the batch,
+        # and its error surfaces with no row-by-row retry
+        with pytest.raises(TypeError):
+            expand(lambda x: math.exp(x[0]), 1, 4)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda X: 1.0,
+            lambda X: np.ones(X.shape[0] - 1),
+            lambda X: np.ones((X.shape[0], 2, 2)),
+            lambda X: np.ones((1, X.shape[0])),
+        ],
+    )
+    def test_wrong_return_shape_rejected(self, f):
+        with pytest.raises(ValueError, match=r"expected \(N,\) or \(N, k\)"):
+            expand(f, 1, 2)
 
     def test_failing_callable_raises_without_row_retry(self):
         calls = []
@@ -243,3 +257,18 @@ class TestTailTwoWays:
         total = float(ndtr(0.37))
         rep = tail_two_ways(f, 1, 2, total, quad_order=40)
         assert not rep.agree
+
+    def test_evaluates_f_once(self):
+        from gstab.hermite import tail_two_ways
+
+        calls = []
+
+        def f(X):
+            calls.append(X.shape)
+            return np.sin(0.4 * X[:, 0]) * np.cos(0.3 * X[:, 1])
+
+        rep = tail_two_ways(f, 2, 2, 0.1, quad_order=40)
+        assert calls == [(1600, 2)]
+        # the shared grid values give the expansion's own coefficient mass
+        e = expand(f, 2, 8, quad_order=40)
+        assert rep.residual_route == 0.1 - float(e.degree_mass()[:3].sum())

@@ -80,11 +80,11 @@ class TestFindMatchingThreshold:
     def test_non_finite_values_rejected(self, bad):
         F = lambda X: np.where(X[:, :1] > 2, bad, simplex_pair(X))
         with pytest.raises(ArithmeticError):
-            find_matching_threshold(F, [0.5, 0.5], tol=0.01, samples=10_000, seed=1, n=1, k=2)
+            find_matching_threshold(F, [0.5, 0.5], tol=0.01, samples=10_000, seed=1, n=1)
     def test_symmetric_target_immediate(self):
         res = find_matching_threshold(
             simplex_pair, [0.5, 0.5], tol=0.01,
-            samples=100_000, seed=1, n=1, k=2,
+            samples=100_000, seed=1, n=1,
         )
         assert res.converged
         assert res.l1_error <= 0.01
@@ -94,7 +94,7 @@ class TestFindMatchingThreshold:
         # the 0.3 upper-quantile of F_1, i.e. x = Phi^{-1}(0.3)
         res = find_matching_threshold(
             simplex_pair, [0.3, 0.7], tol=0.005,
-            samples=300_000, seed=2, n=1, k=2,
+            samples=300_000, seed=2, n=1,
         )
         assert res.converged
         z = res.z.z
@@ -106,7 +106,7 @@ class TestFindMatchingThreshold:
         F = lambda X: smoothed_partition_values(f, 0.5, X)
         res = find_matching_threshold(
             F, [1 / 3, 1 / 3, 1 / 3], tol=0.01,
-            samples=200_000, seed=3, n=1, k=3,
+            samples=200_000, seed=3, n=1,
         )
         assert res.converged
         assert res.l1_error <= 0.01
@@ -115,7 +115,7 @@ class TestFindMatchingThreshold:
         # constant values tie every point, so the rounding puts all of
         # them in one cell whatever z is: [0.3, 0.7] is out of reach
         F = lambda X: np.full((X.shape[0], 2), 0.5)
-        res = find_matching_threshold(F, [0.3, 0.7], tol=0.01, samples=10_000, seed=4, n=1, k=2)
+        res = find_matching_threshold(F, [0.3, 0.7], tol=0.01, samples=10_000, seed=4, n=1)
         assert not res.converged
         assert res.l1_error == pytest.approx(0.6, abs=1e-12)
 
@@ -421,7 +421,7 @@ class TestSymmetricThreshold:
     def test_symmetric_target_accepted_at_zero(self):
         res = find_matching_threshold(
             simplex_pair, [0.5, 0.5], tol=0.02,
-            samples=200_000, seed=6, n=1, k=2,
+            samples=200_000, seed=6, n=1,
         )
         assert res.converged and res.iterations == 1
         np.testing.assert_array_equal(res.z.z, np.zeros(2))

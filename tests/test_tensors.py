@@ -184,14 +184,38 @@ class TestItoProduct:
 class TestFlattening:
     def test_rank_one_value(self):
         t = SymmetricTensor.from_array(np.outer([1.0, 0.0], [1.0, 0.0]))
-        val, ok = flattening_top_singular_value(t, (0,))
-        assert ok and val == pytest.approx(1.0, abs=1e-9)
+        val = flattening_top_singular_value(t, (0,))
+        assert isinstance(val, float) and val == pytest.approx(1.0, abs=1e-15)
+
+    def test_zero_tensor(self):
+        assert flattening_top_singular_value(SymmetricTensor.zeros(3, 2), (0,)) == 0.0
 
     def test_matches_svd(self, rng):
         t = symmetrize(rng.standard_normal((3, 3, 3)))
-        val, ok = flattening_top_singular_value(t, (0,))
-        ref = np.linalg.svd(t.array.reshape(3, 9), compute_uv=False)[0]
-        assert ok and val == pytest.approx(ref, rel=1e-8)
+        for left in [(0,), (0, 1), (1,), (0, 2)]:
+            val = flattening_top_singular_value(t, left)
+            right = tuple(i for i in range(3) if i not in left)
+            mat = t.array.transpose(left + right).reshape(3 ** len(left), -1)
+            ref = np.linalg.svd(mat, compute_uv=False)[0]
+            assert abs(val - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-8])
+    def test_exact_on_near_degenerate_spectrum(self, rng, gap):
+        # sigma_2 / sigma_1 = 1 - gap: a power iteration that stops on a
+        # small step reports such values with a relative error far above
+        # its step tolerance; the flattening must stay exact
+        n = 6
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eig = np.array([1.0, -(1.0 - gap), 0.5, 0.3, -0.2, 0.1])
+        t = SymmetricTensor.from_array((Q * eig) @ Q.T, validate=False)
+        val = flattening_top_singular_value(t, (0,))
+        ref = np.linalg.svd(t.array, compute_uv=False)[0]
+        assert abs(val - ref) <= 1e-12 * ref
+
+    def test_improper_bipartition_rejected(self):
+        t = SymmetricTensor.zeros(2, 2)
+        with pytest.raises(ValueError, match="proper"):
+            flattening_top_singular_value(t, (0, 1))
 
     def test_eigenregular_contraction(self, rng):
         # lambda_max <= kappa forces ||f x_r g|| <= kappa for unit g
