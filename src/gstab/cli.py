@@ -6,16 +6,22 @@ output paths) alongside its results; identical inputs give byte-identical
 outputs on one platform.  Each subcommand takes only the flags it reads:
 --out and --format everywhere, --seed and --samples on the sampling
 subcommands, --config on search.  The manifest seed is the seed the run
-used: --seed, the config's seed for search, and null for the exact
-subcommands (hermite, tensor, basis, cube).  Exit codes: 0 success, 2
-usage error, 3 numeric failure (e.g. a threshold search that did not
-converge).  Diagnostics go to stderr.
+used: --seed, the config's seed for search, null for the exact
+subcommands (hermite, tensor, basis, cube), and null for ncd unless its
+block-embedding route is open (--n-max > 2 with two labels).  The git
+description is of gstab's own source checkout, whatever the working
+directory (gstab-<version> when the package is not in one), and is taken
+once per process.  Exit codes: 0 success, 2 usage error, 3 numeric
+failure (e.g. a threshold search that did not converge).  Diagnostics go
+to stderr.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -46,10 +52,14 @@ class NumericFailure(RuntimeError):
     """Raised when an iterative computation fails to converge."""
 
 
+@functools.cache
 def _git_describe() -> str:
+    """The checkout this process loaded gstab from; computed once, since
+    the code a process runs does not change under it."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
             timeout=5,
@@ -306,6 +316,8 @@ def _cmd_ncd(args):
         P, mu, nu, args.kappa, args.delta, n_max=args.n_max,
         samples=args.samples, seed=args.seed,
     )
+    if not (args.n_max > 2 and len(mu) == 2):
+        args.seed = None  # only the block-embedding route reads the seed
     doc = json.loads(decision.to_json())
     if args.oracle_n:
         doc["oracle"] = ncd_brute_oracle(P, mu, nu, len(mu), args.oracle_n, args.delta)
@@ -403,11 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the process's one dispatch parser; parse_args keeps no state in it
+_parser = functools.cache(build_parser)
+
+
 def cli_dispatch(argv=None) -> int:
-    parser = build_parser()
     effective = list(argv) if argv is not None else sys.argv[1:]
     try:
-        args = parser.parse_args(effective)
+        args = _parser().parse_args(effective)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args._argv = effective

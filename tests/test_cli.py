@@ -3,10 +3,12 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gstab import cli
 from gstab.cli import cli_dispatch
 from gstab.partitions import Halfspace, equal_slabs, partition_to_json
 from gstab.product_space import binary_symmetric
@@ -219,6 +221,33 @@ class TestOtherCommands:
         assert res["verdict"] == "feasible"
         assert res["oracle"] == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("n_max", ["1", "2"])
+    def test_ncd_records_no_seed_where_no_route_reads_it(self, n_max, dist_file, capsys):
+        def run(seed):
+            code, out = run_cli(
+                ["ncd", "--dist", dist_file, "--mu", "[0.5,0.5]", "--nu", "[0.5,0.5]",
+                 "--kappa", "0.99", "--delta", "0.02", "--n-max", n_max, "--seed", seed],
+                capsys,
+            )
+            assert code == 0
+            return json.loads(out)
+
+        first, second = run("5"), run("6")
+        assert first["manifest"]["seed"] is None
+        assert first["result"] == second["result"]
+
+    def test_ncd_block_embedding_records_its_seed(self, dist_file, capsys):
+        code, out = run_cli(
+            ["ncd", "--dist", dist_file, "--mu", "[0.5,0.5]", "--nu", "[0.5,0.5]",
+             "--kappa", "0.99", "--delta", "0.02", "--n-max", "3",
+             "--samples", "2000", "--seed", "5"],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["manifest"]["seed"] == 5
+        assert doc["result"]["verdict"] == "not-found"  # the block route ran
+
     def test_search_command(self, tmp_path, capsys):
         from gstab.search import SearchConfig
 
@@ -281,6 +310,61 @@ class TestOtherCommands:
         res = json.loads(out)["result"]
         se = math.hypot(res["std_error"], found["stability_se"])
         assert res["agreement"] == pytest.approx(found["stability"], abs=5 * se)
+
+
+class TestProcessCaches:
+    """One parser and one git description serve every call in a process."""
+
+    CUBE = ["cube", "--rule", "dictator", "--n", "3", "--rho", "0.5"]
+
+    def test_git_is_spawned_at_most_once(self, monkeypatch, capsys):
+        calls = []
+        real_run = cli.subprocess.run
+
+        def counting_run(*a, **kw):
+            calls.append(a)
+            return real_run(*a, **kw)
+
+        monkeypatch.setattr(cli.subprocess, "run", counting_run)
+        cli._git_describe.cache_clear()
+        for _ in range(3):
+            assert run_cli(self.CUBE, capsys)[0] == 0
+        assert len(calls) <= 1
+
+    def test_git_description_is_of_the_package_not_the_cwd(self, monkeypatch, tmp_path, capsys):
+        def describe_from(cwd):
+            monkeypatch.chdir(cwd)
+            cli._git_describe.cache_clear()
+            code, out = run_cli(self.CUBE, capsys)
+            assert code == 0
+            return json.loads(out)["manifest"]["git_describe"]
+
+        assert describe_from(tmp_path) == describe_from(Path(__file__).resolve().parents[1])
+
+    def test_identical_dispatches_write_identical_files(self, tmp_path, capsys):
+        out = tmp_path / "cube.json"
+        written = []
+        for _ in range(2):
+            assert cli_dispatch([*self.CUBE, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    def test_cell_does_not_carry_over(self, halfspace_file, capsys):
+        base = ["stability", "--partition", halfspace_file, "--rho", "0.5", "--samples", "2000"]
+        assert "cell_stability" in json.loads(run_cli([*base, "--cell", "1"], capsys)[1])["result"]
+        res = json.loads(run_cli(base, capsys)[1])["result"]
+        assert "cell" not in res and "agreement" in res
+
+    def test_format_does_not_carry_over(self, capsys):
+        assert run_cli([*self.CUBE, "--format", "csv"], capsys)[1].startswith("key,value\n")
+        assert json.loads(run_cli(self.CUBE, capsys)[1])["result"]["rule"] == "dictator"
+
+    def test_usage_error_does_not_carry_over(self, capsys):
+        assert cli_dispatch(["cube", "--rule", "dictator", "--n", "3"]) == 2
+        assert cli_dispatch(self.CUBE) == 0
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestExitCodes:
