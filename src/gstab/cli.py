@@ -8,7 +8,8 @@ outputs on one platform.  Each subcommand takes only the flags it reads:
 subcommands, --config on search.  The manifest seed is the seed the run
 used: --seed, the config's seed for search, null for the exact
 subcommands (hermite, tensor, basis, cube), and null for ncd unless its
-block-embedding route is open (--n-max > 2 with two labels).  The git
+block-embedding route ran (--n-max > 2 with two labels, reached only when
+the exhaustive search at n <= 2 falls short).  The git
 description is of gstab's own source checkout, whatever the working
 directory (gstab-<version> when the package is not in one), and is taken
 once per process.  Exit codes: 0 success, 2 usage error, 3 numeric
@@ -316,7 +317,7 @@ def _cmd_ncd(args):
         P, mu, nu, args.kappa, args.delta, n_max=args.n_max,
         samples=args.samples, seed=args.seed,
     )
-    if not (args.n_max > 2 and len(mu) == 2):
+    if not decision.sampled:
         args.seed = None  # only the block-embedding route reads the seed
     doc = json.loads(decision.to_json())
     if args.oracle_n:

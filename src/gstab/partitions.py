@@ -32,6 +32,7 @@ from scipy.special import ndtr, ndtri
 from .chaos import PolyGauss
 from .cube import CubeFn
 from .gauss import (
+    MAX_QUADRATURE_DIM,
     CorrelatedSampler,
     batch_sizes,
     binomial_se,
@@ -64,6 +65,7 @@ __all__ = [
     "quad_joint_cells_1d",
     "IntervalForm",
     "interval_form",
+    "route",
     "exact_expansion",
     "partition_to_json",
     "partition_from_json",
@@ -133,7 +135,8 @@ class PartitionFn:
 
 
 class Halfspace(PartitionFn):
-    """Two-part partition: label 1 where <x - a, b> <= 0."""
+    """Two-part partition: label 1 where <x - a, b> <= 0, that is, where
+    <x, b> <= <a, b>."""
 
     kind = "halfspace"
 
@@ -146,11 +149,12 @@ class Halfspace(PartitionFn):
             raise ValueError("normal vector must be nonzero")
         self.n = self.a.shape[0]
         self.k = 2
+        self._offset = float(np.einsum("i,i->", self.a, self.b))
 
     def labels(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        s = np.einsum("xi,i->x", X - self.a, self.b)
-        return np.where(s <= 0.0, 1, 2).astype(np.int64)
+        s = np.einsum("xi,i->x", X, self.b)
+        return np.where(s <= self._offset, 1, 2).astype(np.int64)
 
     def payload(self) -> dict:
         return {"a": self.a.tolist(), "b": self.b.tolist()}
@@ -447,6 +451,10 @@ def _real_roots_1d(p: PolyGauss) -> np.ndarray:
     return np.asarray(keep)
 
 
+def _interval_structured(f: PartitionFn) -> bool:
+    return isinstance(f, (Slabs, Halfspace)) or (isinstance(f, MultiPTF) and f.n == 1)
+
+
 def interval_form(f: PartitionFn) -> IntervalForm | None:
     """One-dimensional interval description of f, when one exists.
 
@@ -454,6 +462,8 @@ def interval_form(f: PartitionFn) -> IntervalForm | None:
     one-dimensional PTF partitions (whose cells are bounded by the real
     roots of the defining polynomials).
     """
+    if not _interval_structured(f):
+        return None
     if isinstance(f, Slabs):
         u = np.zeros(f.n)
         u[f.axis] = 1.0
@@ -462,27 +472,58 @@ def interval_form(f: PartitionFn) -> IntervalForm | None:
         norm = float(np.linalg.norm(f.b))
         cut = float(np.dot(f.a, f.b)) / norm
         return IntervalForm(f.b / norm, np.array([cut]), np.array([1, 2]), 2)
-    if isinstance(f, MultiPTF) and f.n == 1:
-        cuts = np.sort(np.unique(np.concatenate([_real_roots_1d(p) for p in f.polys])))
-        if cuts.size == 0:
-            test_points = np.array([[0.0]])
-        else:
-            mids = (cuts[:-1] + cuts[1:]) / 2 if cuts.size > 1 else np.empty(0)
-            test_points = np.concatenate(
-                ([cuts[0] - 1.0], mids, [cuts[-1] + 1.0])
-            )[:, None]
-        labels = f.labels(test_points)
-        keep_cuts, keep_labels = [], [int(labels[0])]
-        for cut, lab in zip(cuts, labels[1:]):
-            if int(lab) != keep_labels[-1]:
-                keep_cuts.append(cut)
-                keep_labels.append(int(lab))
-        if not keep_cuts:
-            return IntervalForm(np.ones(1), np.empty(0), np.array(keep_labels), f.k)
-        return IntervalForm(
-            np.ones(1), np.asarray(keep_cuts), np.asarray(keep_labels), f.k
+    cuts = np.sort(np.unique(np.concatenate([_real_roots_1d(p) for p in f.polys])))
+    if cuts.size == 0:
+        test_points = np.array([[0.0]])
+    else:
+        mids = (cuts[:-1] + cuts[1:]) / 2 if cuts.size > 1 else np.empty(0)
+        test_points = np.concatenate(
+            ([cuts[0] - 1.0], mids, [cuts[-1] + 1.0])
+        )[:, None]
+    labels = f.labels(test_points)
+    keep_cuts, keep_labels = [], [int(labels[0])]
+    for cut, lab in zip(cuts, labels[1:]):
+        if int(lab) != keep_labels[-1]:
+            keep_cuts.append(cut)
+            keep_labels.append(int(lab))
+    if not keep_cuts:
+        return IntervalForm(np.ones(1), np.empty(0), np.array(keep_labels), f.k)
+    return IntervalForm(
+        np.ones(1), np.asarray(keep_cuts), np.asarray(keep_labels), f.k
+    )
+
+
+MAX_SIGN_TABLE_EXPAND_DIM = 6  # largest n whose sign table expands exactly
+
+
+def route(f: PartitionFn, op: str) -> str:
+    """The one choice of route for ``op`` on f: "smooth" (P_t of the
+    simplex embedding on points, rounding.smoothed_partition_values) or
+    "expand" (Hermite coefficients of the one-hot embedding by
+    exact_expansion, or by hermite.expand on "quadrature").
+
+    "interval": slabs, halfspaces and 1-D PTFs, whose noised point
+    projects to a normal on the structure direction: closed forms for
+    both ops.  "sign-table": orthant cells factor per coordinate;
+    smoothing at any n, the expansion up to MAX_SIGN_TABLE_EXPAND_DIM.
+    "ptf-addition": smoothing a PTF on the tensor rule, its polynomials
+    split by the Hermite addition formula.  "quadrature": f at every
+    node of the tensor rule.  These two converge slowly across cell
+    boundaries and need n <= MAX_QUADRATURE_DIM.  Raises ValueError
+    where no route applies.
+    """
+    if op not in ("smooth", "expand"):
+        raise ValueError(f"unknown operation {op!r}")
+    if _interval_structured(f):
+        return "interval"
+    if isinstance(f, Tabulated) and (op == "smooth" or f.n <= MAX_SIGN_TABLE_EXPAND_DIM):
+        return "sign-table"
+    if f.n > MAX_QUADRATURE_DIM:
+        raise ValueError(
+            f"no {op} route for a {f.kind} partition on n={f.n}: quadrature "
+            f"is limited to n <= {MAX_QUADRATURE_DIM}"
         )
-    return None
+    return "ptf-addition" if op == "smooth" and isinstance(f, MultiPTF) else "quadrature"
 
 
 def _interval_hermite_coeffs(a: float, b: float, max_degree: int) -> np.ndarray:
@@ -509,16 +550,18 @@ def _interval_hermite_coeffs(a: float, b: float, max_degree: int) -> np.ndarray:
 
 
 def exact_expansion(f: PartitionFn, max_degree: int):
-    """Exact Hermite expansion of the one-hot embedding of f.
+    """Exact Hermite expansion of the one-hot embedding of f, on the
+    route that route(f, "expand") names.
 
-    Works for interval-structured partitions on any dimension (the
-    chaos of g(<u, x>) spreads each 1-D coefficient over the degree-q
-    rank-one pattern u^S sqrt(q!/prod S_i!)) and for sign-table
-    partitions (orthant cells factor into per-coordinate half-lines).
-    Raises ValueError when no exact structure applies.
+    On the interval route, in any dimension, the chaos of g(<u, x>)
+    spreads each 1-D coefficient over the degree-q rank-one pattern
+    u^S sqrt(q!/prod S_i!); on the sign-table route, orthant cells
+    factor into per-coordinate half-lines.  Raises ValueError on the
+    quadrature route and where route raises.
     """
-    form = interval_form(f)
-    if form is not None:
+    way = route(f, "expand")
+    if way == "interval":
+        form = interval_form(f)
         u = form.direction
         edges = np.concatenate(([-np.inf], form.breakpoints, [np.inf]))
         onedim = np.zeros((f.k, max_degree + 1))
@@ -537,7 +580,7 @@ def exact_expansion(f: PartitionFn, max_degree: int):
             if np.linalg.norm(vec) >= 1e-14:
                 coeffs[S] = vec
         return HermiteExpansion(f.n, f.k, max_degree, coeffs)
-    if isinstance(f, Tabulated) and f.n <= 6:
+    if way == "sign-table":
         half = np.zeros((2, max_degree + 1))
         half[0] = _interval_hermite_coeffs(-np.inf, 0.0, max_degree)  # sign -
         half[1] = _interval_hermite_coeffs(0.0, np.inf, max_degree)  # sign +
@@ -551,7 +594,7 @@ def exact_expansion(f: PartitionFn, max_degree: int):
             if np.linalg.norm(full[S]) >= 1e-14:
                 coeffs[S] = full[S]
         return HermiteExpansion(f.n, f.k, max_degree, coeffs)
-    raise ValueError("no exact expansion for this partition variant")
+    raise ValueError(f"no exact expansion for a {f.kind} partition: its route is {way!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from scipy.special import ndtr
 
 from .chaos import PolyGauss
 from .gauss import (
-    MAX_QUADRATURE_DIM,
     CorrelatedSampler,
     binomial_se,
     gauss_hermite_rule,
@@ -41,6 +40,7 @@ from .partitions import (
     Tabulated,
     exact_expansion,
     interval_form,
+    route,
 )
 
 __all__ = [
@@ -197,21 +197,9 @@ def find_matching_threshold(
 
 
 def smoothed_partition_values(f: PartitionFn, t: float, X: np.ndarray, quad_order: int = 32) -> np.ndarray:
-    """(P_t f)(x) for the simplex embedding of a partition, batched.
-
-    Interval-structured partitions (slabs, halfspaces, 1-D PTFs) use the
-    exact Gaussian-CDF form of the smoothing: the projection of the
-    noised point onto the structure direction is normal with known
-    location and scale.  Sign-table partitions factor per coordinate, so
-    their smoothing is a contraction of the table with the per-point
-    orthant probabilities.
-    Multivariate PTFs (n <= MAX_QUADRATURE_DIM) integrate the defining
-    formula on the order-``quad_order`` tensor rule, with the defining
-    polynomials split by the Hermite addition formula into point-side
-    and node-side tables (see _smooth_ptf); everything else integrates it
-    on the same rule by evaluating f at every node.  Both quadrature
-    routes cap the dimension and converge slowly across cell boundaries;
-    prefer the structured variants where accuracy matters.
+    """(P_t f)(x) for the simplex embedding of a partition, batched, on
+    the route that partitions.route(f, "smooth") names; the two
+    quadrature routes use the order-``quad_order`` tensor rule.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not t >= 0:  # also rejects NaN
@@ -220,12 +208,13 @@ def smoothed_partition_values(f: PartitionFn, t: float, X: np.ndarray, quad_orde
         return f.onehot(X)
     rho = math.exp(-t)
     scale = math.sqrt(1.0 - rho * rho)
-    form = interval_form(f)
-    if form is not None:
+    way = route(f, "smooth")
+    if way == "interval":
+        form = interval_form(f)
         return form.cell_probs(rho * np.einsum("xi,i->x", X, form.direction), scale)
-    if isinstance(f, Tabulated):
+    if way == "sign-table":
         return _smooth_sign_table(f, ndtr(rho * X / scale))
-    if isinstance(f, MultiPTF) and f.n <= MAX_QUADRATURE_DIM:
+    if way == "ptf-addition":
         return _smooth_ptf(f, rho, scale, X, quad_order)
     return ou_on_points(lambda P: f.onehot(P), t, X, quad_order=quad_order, k=f.k)
 
@@ -325,6 +314,16 @@ def _smooth_ptf(f: MultiPTF, rho: float, sigma: float, X: np.ndarray, quad_order
     return out
 
 
+def _smooth_match_round(f: PartitionFn, t: float, X, Y, target, tol: float, quad_order: int):
+    """The smooth-then-round image of f on the pairs (X, Y): P_t f on both
+    sides, thresholds matched to ``target`` on X, both sides rounded.
+    Returns (threshold search, labels on X, labels on Y)."""
+    FX = smoothed_partition_values(f, t, X, quad_order)
+    FY = smoothed_partition_values(f, t, Y, quad_order)
+    search = _match_threshold_on_values(FX, target, tol)
+    return search, round_values(FX, search.z), round_values(FY, search.z)
+
+
 @dataclass
 class RoundingReport:
     """Before/after stabilities for the smooth-then-round pipeline."""
@@ -385,11 +384,7 @@ def stability_of_rounding(
     lf_x, lf_y = f.labels(X), f.labels(Y)
     stab_f = float(np.mean(lf_x == lf_y))
     target = label_measures(lf_x, f.k)
-    FX = smoothed_partition_values(f, t, X, quad_order)
-    FY = smoothed_partition_values(f, t, Y, quad_order)
-    search = _match_threshold_on_values(FX, target, tol)
-    gx = round_values(FX, search.z)
-    gy = round_values(FY, search.z)
+    search, gx, gy = _smooth_match_round(f, t, X, Y, target, tol, quad_order)
     stab_g = float(np.mean(gx == gy))
     cross = float(np.mean(gx == lf_y))
     return RoundingReport(
@@ -449,23 +444,24 @@ def ptf_from_truncation(
     k^2 * W^{>d}[h], with the tail mass computed from the exact total
     embedding mass 1 - 1/k minus the stored coefficient mass.
 
-    Partitions with interval or sign-table structure expand exactly;
-    others go through tensor-product quadrature, whose coefficients for
-    discontinuous integrands carry O(1/sqrt(order)) errors at cell
-    boundaries in general position.
+    The expansion takes the route that partitions.route(h, "expand")
+    names: exact on the interval and sign-table routes, and on the
+    quadrature route an order-``quad_order`` tensor rule, whose
+    coefficients for discontinuous integrands carry O(1/sqrt(order))
+    errors at cell boundaries in general position.
     """
     k = h.k
-    try:
+    if route(h, "expand") == "quadrature":
+        emb = expand(
+            lambda X: h.onehot(X) - 1.0 / k, h.n, d, quad_order=quad_order, k=k
+        )
+    else:
         emb = exact_expansion(h, d)
         zero = (0,) * h.n
         center = emb.coeffs.get(zero, np.zeros(k)) - 1.0 / k
         emb.coeffs[zero] = center
         if np.linalg.norm(center) < 1e-14:
             del emb.coeffs[zero]
-    except ValueError:
-        emb = expand(
-            lambda X: h.onehot(X) - 1.0 / k, h.n, d, quad_order=quad_order, k=k
-        )
     per_label: list[dict[tuple[int, ...], float]] = [dict() for _ in range(k)]
     for S, c in emb.coeffs.items():
         for j in range(k):

@@ -27,7 +27,7 @@ import numpy as np
 from .chaos import PolyGauss
 from .gauss import CorrelatedSampler, binomial_se, gaussian_rng, label_measures
 from .hermite import degree_indices
-from .partitions import MultiPTF, PartitionFn, Slabs, partition_to_json
+from .partitions import MultiPTF, PartitionFn, Slabs, partition_to_json, route as partition_route
 from .product_space import (
     JointDist,
     _word_law,
@@ -35,7 +35,8 @@ from .product_space import (
     correlation_basis,
     estimate_discrete_corr,
 )
-from .rounding import round_values, smoothed_partition_values, _match_threshold_on_values
+from .rounding import round_values, smoothed_partition_values, _smooth_match_round
+from .rounding import _match_threshold_on_values  # bench/spans.py traces the matcher through this name
 
 __all__ = [
     "SearchConfig",
@@ -279,11 +280,7 @@ def _optimize_grid(cfg: SearchConfig, X, Y) -> SearchResult:
 def _rounded_candidate(cfg: SearchConfig, ptf: MultiPTF, X, Y):
     """(feasible, stability, measures, threshold search) of the smooth-
     then-round image of ptf; tuples compare feasible first."""
-    FX = smoothed_partition_values(ptf, cfg.t, X, cfg.quad_order)
-    FY = smoothed_partition_values(ptf, cfg.t, Y, cfg.quad_order)
-    search = _match_threshold_on_values(FX, cfg.target_mu, cfg.measure_tol)
-    gx = round_values(FX, search.z)
-    gy = round_values(FY, search.z)
+    search, gx, gy = _smooth_match_round(ptf, cfg.t, X, Y, cfg.target_mu, cfg.measure_tol, cfg.quad_order)
     return search.converged, float(np.mean(gx == gy)), search.measures, search
 
 
@@ -353,9 +350,8 @@ def _optimize_local(cfg: SearchConfig, X, Y) -> SearchResult:
 class _RoundedPartition(PartitionFn):
     """Threshold rounding of a smoothed PTF, packaged as a partition.
 
-    Its payload records the smoothing route, which follows from n: the
-    exact interval form in one dimension, the Hermite addition formula
-    on the tensor rule in two and three.
+    Its payload records the route that smooths the PTF,
+    partitions.route(ptf, "smooth"), and a payload must match it to load.
     """
 
     kind = "rounded-ptf"
@@ -376,7 +372,7 @@ class _RoundedPartition(PartitionFn):
 
     @property
     def route(self) -> str:
-        return "interval" if self.n == 1 else "ptf-addition"
+        return partition_route(self.ptf, "smooth")
 
     def payload(self) -> dict:
         return {
@@ -394,6 +390,9 @@ class _RoundedPartition(PartitionFn):
 
 @dataclass
 class NcdDecision:
+    """Outcome of ncd_decide; ``sampled`` says whether its block-embedding
+    route ran, the only route that reads the seed."""
+
     feasible: bool
     achieved: float
     achieved_se: float
@@ -401,6 +400,7 @@ class NcdDecision:
     witness_g: object | None
     n_used: int | None
     detail: str
+    sampled: bool = False
 
     def to_json(self) -> str:
         return json.dumps(
@@ -545,7 +545,8 @@ def ncd_decide(
                 return NcdDecision(True, float(agree[i, j]), 0.0, *pair, n, detail)
             if agree[i, j] > best_val:
                 best_val, best_pair, best_n, best_detail = float(agree[i, j]), pair, n, detail
-    if n_max > 2 and k == 2:
+    sampled = n_max > 2 and k == 2
+    if sampled:
         basis = correlation_basis(P)
         fpart = Slabs(0, [_quantile(mu[0])], [1, 2], n=1)
         gpart = Slabs(0, [_quantile(nu[0])], [1, 2], n=1)
@@ -560,9 +561,9 @@ def ncd_decide(
         if rep.agreement >= kappa - delta:
             return NcdDecision(
                 True, rep.agreement, rep.agreement_se, fstrat, gstrat,
-                fstrat.n_coords, f"block embedding, ell={ell}",
+                fstrat.n_coords, f"block embedding, ell={ell}", sampled,
             )
-    return NcdDecision(False, best_val, 0.0, *best_pair, best_n, best_detail)
+    return NcdDecision(False, best_val, 0.0, *best_pair, best_n, best_detail, sampled)
 
 
 def _quantile(p: float) -> float:

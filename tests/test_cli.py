@@ -221,19 +221,21 @@ class TestOtherCommands:
         assert res["verdict"] == "feasible"
         assert res["oracle"] == pytest.approx(0.75)
 
-    @pytest.mark.parametrize("n_max", ["1", "2"])
-    def test_ncd_records_no_seed_where_no_route_reads_it(self, n_max, dist_file, capsys):
+    # at n-max 3 the exhaustive search meets kappa 0.75 at n = 1 and
+    # returns before the block-embedding route would sample
+    @pytest.mark.parametrize("n_max, kappa", [("1", "0.99"), ("2", "0.99"), ("3", "0.75")], ids=["1", "2", "3"])
+    def test_ncd_records_no_seed_where_no_route_reads_it(self, n_max, kappa, dist_file, capsys):
         def run(seed):
             code, out = run_cli(
                 ["ncd", "--dist", dist_file, "--mu", "[0.5,0.5]", "--nu", "[0.5,0.5]",
-                 "--kappa", "0.99", "--delta", "0.02", "--n-max", n_max, "--seed", seed],
+                 "--kappa", kappa, "--delta", "0.02", "--n-max", n_max, "--seed", seed],
                 capsys,
             )
             assert code == 0
             return json.loads(out)
 
         first, second = run("5"), run("6")
-        assert first["manifest"]["seed"] is None
+        assert first["manifest"]["seed"] is None and second["manifest"]["seed"] is None
         assert first["result"] == second["result"]
 
     def test_ncd_block_embedding_records_its_seed(self, dist_file, capsys):

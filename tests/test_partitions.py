@@ -8,6 +8,7 @@ from scipy.special import ndtri
 from conftest import balanced_two_part, random_partition, random_quadratic_poly
 from gstab.chaos import PolyGauss
 from gstab.partitions import (
+    Callback,
     Halfspace,
     MultiPTF,
     Slabs,
@@ -16,6 +17,7 @@ from gstab.partitions import (
     random_balanced_slabs,
     collision_probability,
     equal_slabs,
+    exact_expansion,
     estimate_cell_stability,
     estimate_cross_stability,
     estimate_measures,
@@ -23,10 +25,12 @@ from gstab.partitions import (
     orthant_probability_quad,
     partition_from_json,
     partition_to_json,
+    interval_form,
     quad_joint_cells_1d,
+    route,
     sheppard_orthant,
 )
-from gstab.cube import make_voting_rule
+from gstab.cube import CubeFn, make_voting_rule
 from gstab.tensors import SymmetricTensor
 
 
@@ -70,6 +74,26 @@ class TestEvalPartition:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             Halfspace([0.0], [1.0]).label([1.0, 2.0])
+
+    def test_halfspace_through_origin_labels_bit_for_bit(self, rng):
+        for n in (1, 2, 3):
+            b = rng.standard_normal(n)
+            X = rng.standard_normal((2000, n))
+            X[::5] = 0.0  # on the boundary
+            expect = np.where(np.einsum("xi,i->x", X - np.zeros(n), b) <= 0.0, 1, 2)
+            np.testing.assert_array_equal(Halfspace(np.zeros(n), b).labels(X), expect)
+
+    def test_shifted_halfspace_matches_its_interval_cut(self, rng):
+        for n in (1, 2, 3):
+            a, b = rng.standard_normal(n), rng.standard_normal(n)
+            f = Halfspace(a, b)
+            X = rng.standard_normal((2000, n))
+            X[::9] = a  # points on the boundary take label 1
+            form = interval_form(f)
+            s = X @ form.direction
+            off = np.abs(s - form.breakpoints[0]) > 1e-12
+            np.testing.assert_array_equal(f.labels(X)[off], form.projected().labels(s[:, None])[off])
+            np.testing.assert_array_equal(f.labels(X[::9]), 1)
 
 
 class TestMeasures:
@@ -231,6 +255,61 @@ class TestQuadOracles:
         J = quad_joint_cells_1d(f, 0.5)
         est = estimate_stability(f, None, 300_000, 19, rho=0.5)
         assert est.value == pytest.approx(np.trace(J), abs=4 * est.std_error)
+
+
+def _ptf(n):
+    return MultiPTF([x1_poly(n), x1_poly(n).scale(-1.0)])
+
+
+def _rounded(n0):
+    from gstab.search import _RoundedPartition
+
+    return _RoundedPartition(_ptf(n0), 0.5, np.zeros(2), 8)
+
+
+ROUTE_TABLE = [  # (partition, smooth route, expand route); None: ValueError
+    ("halfspace", lambda: Halfspace([0.3, 0.0], [1.0, -2.0]), "interval", "interval"),
+    ("slabs", lambda: equal_slabs(3, n=2), "interval", "interval"),
+    ("ptf-1d", lambda: _ptf(1), "interval", "interval"),
+    ("ptf-2d", lambda: _ptf(2), "ptf-addition", "quadrature"),
+    ("ptf-3d", lambda: _ptf(3), "ptf-addition", "quadrature"),
+    ("ptf-4d", lambda: _ptf(4), None, None),
+    ("tabulated-3", lambda: Tabulated(make_voting_rule("majority", 3, 2)), "sign-table", "sign-table"),
+    ("tabulated-7", lambda: Tabulated(make_voting_rule("majority", 7, 2)), "sign-table", None),
+    ("callback", lambda: Callback(lambda X: np.ones(X.shape[0]), 2, 2), "quadrature", "quadrature"),
+    ("rounded-ptf-1", lambda: _rounded(1), "quadrature", "quadrature"),
+    ("rounded-ptf-2", lambda: _rounded(2), "quadrature", "quadrature"),
+]
+
+
+class TestRoute:
+    @pytest.mark.parametrize("make, smooth, expand", [r[1:] for r in ROUTE_TABLE], ids=[r[0] for r in ROUTE_TABLE])
+    @pytest.mark.parametrize("op", ["smooth", "expand"])
+    def test_route_table(self, make, smooth, expand, op):
+        f = make()
+        want = smooth if op == "smooth" else expand
+        if want is None:
+            with pytest.raises(ValueError):
+                route(f, op)
+        else:
+            assert route(f, op) == want
+
+    def test_unknown_operation(self):
+        with pytest.raises(ValueError, match="unknown operation"):
+            route(equal_slabs(2), "label")
+
+    @pytest.mark.parametrize("make", [lambda: _ptf(2), lambda: Callback(lambda X: np.ones(X.shape[0]), 1, 2)], ids=["ptf-2d", "callback"])
+    def test_exact_expansion_refuses_the_quadrature_route(self, make):
+        with pytest.raises(ValueError, match="quadrature"):
+            exact_expansion(make(), 2)
+
+    def test_sign_table_expansion_cap(self, rng):
+        from gstab.partitions import MAX_SIGN_TABLE_EXPAND_DIM
+
+        n = MAX_SIGN_TABLE_EXPAND_DIM
+        f = Tabulated(CubeFn(n, 3, rng.integers(1, 4, 1 << n)))
+        mu = np.bincount(f.cube.table, minlength=4)[1:] / (1 << n)
+        np.testing.assert_allclose(exact_expansion(f, 2).coeffs[(0,) * n], mu, rtol=0, atol=1e-15)
 
 
 class TestSerialization:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
-from conftest import random_partition
+from conftest import random_partition, random_quadratic_poly
 from gstab.gauss import label_measures
 from gstab.partitions import Halfspace, MultiPTF, Slabs, equal_slabs
 from gstab.rounding import (
@@ -239,6 +239,37 @@ class TestSmoothedValues:
         assert np.all(vals >= 0) and np.all(vals <= 1)
         np.testing.assert_allclose(vals.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_the_kernel_that_runs_is_the_named_route(self, rng, monkeypatch):
+        import gstab.rounding as R
+        from gstab.cube import make_voting_rule
+        from gstab.partitions import Callback, IntervalForm, Tabulated, route
+
+        ran = []
+
+        def recording(name, fn):
+            def kernel(*args, **kwargs):
+                ran.append(name)
+                return fn(*args, **kwargs)
+
+            return kernel
+
+        monkeypatch.setattr(IntervalForm, "cell_probs", recording("interval", IntervalForm.cell_probs))
+        monkeypatch.setattr(R, "_smooth_sign_table", recording("sign-table", R._smooth_sign_table))
+        monkeypatch.setattr(R, "_smooth_ptf", recording("ptf-addition", R._smooth_ptf))
+        monkeypatch.setattr(R, "ou_on_points", recording("quadrature", R.ou_on_points))
+        parts = [
+            Halfspace([0.3, 0.0], [1.0, -2.0]),
+            equal_slabs(3),
+            MultiPTF([random_quadratic_poly(rng, 1) for _ in range(2)]),
+            MultiPTF([random_quadratic_poly(rng, 2) for _ in range(3)]),
+            Tabulated(make_voting_rule("majority", 3, 2)),
+            Callback(lambda X: np.where(X[:, 0] > 0, 2, 1), 2, 2),
+        ]
+        for f in parts:
+            ran.clear()
+            smoothed_partition_values(f, 0.5, rng.standard_normal((20, f.n)), 8)
+            assert ran == [route(f, "smooth")], f.kind
+
 
 class TestStabilityOfRounding:
     def test_halfspace_fixed_point(self):
@@ -399,6 +430,16 @@ class TestPtfFromTruncation:
             slack = 3 * rep.disagreement_se + 1e-3
             assert rep.disagreement <= rep.bound + slack
             assert rep.collision <= rep.bound + slack
+
+    def test_exact_route_errors_propagate(self, monkeypatch):
+        import gstab.rounding as R
+
+        def broken(f, max_degree):
+            raise ValueError("defect in an exact route")
+
+        monkeypatch.setattr(R, "exact_expansion", broken)
+        with pytest.raises(ValueError, match="defect in an exact route"):
+            ptf_from_truncation(equal_slabs(3), 2, samples=1000, seed=0)
 
 
 class TestSimplexInvariant:
