@@ -547,39 +547,33 @@ class ProductEstimate:
 
 
 def _mc_stream(families, samples: int, seed: int, batch: int):
-    """Accumulate per-family product values over one shared sample stream."""
+    """Yield, block by block of one shared sample stream, the list of each
+    family's pointwise product values."""
     n = families[0][0].n
     for fam in families:
         if any(p.n != n for p in fam):
             raise ValueError("family members live on different dimensions")
     rng = gaussian_rng(seed)
-    sums = np.zeros(len(families))
-    sums_sq = np.zeros(len(families))
-    diff_sum = 0.0
-    diff_sq = 0.0
     for mcount in batch_sizes(samples, batch):
         X = rng.standard_normal((mcount, n))
         prods = []
-        for idx, fam in enumerate(families):
+        for fam in families:
             vals = fam[0].eval_many(X)
             for member in fam[1:]:
                 vals = vals * member.eval_many(X)
-            sums[idx] += vals.sum()
-            sums_sq[idx] += (vals**2).sum()
             prods.append(vals)
-        if len(families) == 2:
-            d = prods[0] - prods[1]
-            diff_sum += d.sum()
-            diff_sq += (d**2).sum()
-    return sums, sums_sq, diff_sum, diff_sq
+        yield prods
 
 
 def product_expectation_mc(family, samples: int, seed: int, batch: int = 1 << 16) -> ProductEstimate:
     """Monte Carlo estimate of E[prod_i p_i] over the shared dimension."""
     if not family:
         raise ValueError("family must be nonempty")
-    sums, sums_sq, _, _ = _mc_stream([list(family)], samples, seed, batch)
-    return ProductEstimate(*mean_se(sums[0], sums_sq[0], samples), samples)
+    total = total_sq = 0.0
+    for (vals,) in _mc_stream([list(family)], samples, seed, batch):
+        total += vals.sum()
+        total_sq += (vals**2).sum()
+    return ProductEstimate(*mean_se(total, total_sq, samples), samples)
 
 
 def product_difference_mc(family_a, family_b, samples: int, seed: int, batch: int = 1 << 16) -> ProductEstimate:
@@ -590,8 +584,12 @@ def product_difference_mc(family_a, family_b, samples: int, seed: int, batch: in
     """
     if not family_a or not family_b:
         raise ValueError("families must be nonempty")
-    _, _, diff_sum, diff_sq = _mc_stream([list(family_a), list(family_b)], samples, seed, batch)
-    return ProductEstimate(*mean_se(diff_sum, diff_sq, samples), samples)
+    total = total_sq = 0.0
+    for a, b in _mc_stream([list(family_a), list(family_b)], samples, seed, batch):
+        d = a - b
+        total += d.sum()
+        total_sq += (d**2).sum()
+    return ProductEstimate(*mean_se(total, total_sq, samples), samples)
 
 
 def pair_block_weights(bp: BlockPoly) -> tuple[tuple[tuple[int, int], ...], np.ndarray] | None:

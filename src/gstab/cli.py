@@ -29,8 +29,8 @@ import sys
 from . import __version__
 from .chaos import eigenregularity, poly_product, variance_bounds
 from .cube import cube_influences, cube_stability, make_voting_rule
-from .gauss import check_rho, gaussian_rng
-from .hermite import expand, spectral_weights
+from .gauss import coupling, gaussian_rng
+from .hermite import spectral_weights
 from .partitions import (
     MultiPTF,
     estimate_cell_stability,
@@ -45,7 +45,7 @@ from .product_space import (
     correlation_basis,
     estimate_discrete_corr,
 )
-from .rounding import ptf_from_truncation, stability_of_rounding
+from .rounding import _onehot_expansion, ptf_from_truncation, stability_of_rounding
 from .search import SearchConfig, ncd_brute_oracle, ncd_decide, optimize_stability
 
 
@@ -124,17 +124,6 @@ def _emit(args, result: dict) -> None:
         sys.stdout.write(text)
 
 
-def _rho_args(args) -> float:
-    if args.rho is not None and args.t is not None:
-        raise SystemExit2("pass only one of --rho / --t")
-    if args.rho is None and args.t is None:
-        raise SystemExit2("pass one of --rho / --t")
-    if args.t is not None and not args.t >= 0:  # also rejects NaN
-        raise SystemExit2(f"--t must be >= 0, got {args.t}")
-    rho = args.rho if args.rho is not None else math.exp(-args.t)
-    return check_rho(rho)
-
-
 class SystemExit2(Exception):
     pass
 
@@ -160,7 +149,7 @@ def _load_dist(path: str) -> JointDist:
 
 def _cmd_stability(args):
     f = _load_partition(args.partition)
-    rho = _rho_args(args)
+    rho, _, _ = coupling(args.t, args.rho)
     est = estimate_stability(f, None, args.samples, args.seed, rho=rho)
     result = {
         "agreement": est.value,
@@ -177,7 +166,7 @@ def _cmd_stability(args):
 
 
 def _cmd_borell_check(args):
-    rho = _rho_args(args)
+    rho, _, _ = coupling(args.t, args.rho)
     if rho < 0:
         raise SystemExit2(f"borell-check needs rho >= 0 (Borell's inequality reverses below 0), got {rho}")
     rng = gaussian_rng(args.seed)
@@ -211,9 +200,7 @@ def _cmd_round(args):
 
 def _cmd_hermite(args):
     f = _load_partition(args.partition)
-    emb = expand(
-        lambda X: f.onehot(X), f.n, args.max_degree, quad_order=args.quad_order, k=f.k
-    )
+    emb = _onehot_expansion(f, args.max_degree, args.quad_order)
     weights = spectral_weights(emb, 1.0)
     _emit(
         args,
@@ -292,7 +279,7 @@ def _cmd_cube(args):
         "rule": args.rule,
         "n": args.n,
         "k": args.k,
-        "stability": cube_stability(f, _rho_args(args)),
+        "stability": cube_stability(f, coupling(args.t, args.rho)[0]),
         "influences": cube_influences(f).tolist(),
     }
     _emit(args, result)
@@ -369,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hermite", help="expansion and spectral weights of a partition")
     p.add_argument("--partition", required=True)
     p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--quad-order", type=int, default=40)
+    p.add_argument("--quad-order", type=int, default=40,
+                   help="tensor-rule order; read only on the quadrature route")
     p.set_defaults(func=_cmd_hermite)
 
     p = sub.add_parser("tensor", help="eigenregularity / products / variance bounds")

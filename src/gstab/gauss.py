@@ -47,6 +47,7 @@ __all__ = [
     "mean_se",
     "label_measures",
     "check_rho",
+    "coupling",
 ]
 
 MAX_QUADRATURE_DIM = 3  # largest n for tensor-product rules over R^n
@@ -217,21 +218,22 @@ def contract_axes(table: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
 class CorrelatedSampler:
     """Seeded source of rho-correlated standard Gaussian pairs.
 
-    Pairs satisfy Y = rho*X + sqrt(1-rho^2)*Z with Z fresh, so each
-    coordinate pair (X_i, Y_i) has correlation rho.  The stream is a pure
-    function of (dimension, rho, seed, substream); ``substream`` produces
-    an independent stream for parallel estimation.
+    Pairs satisfy Y = rho*X + sigma*Z with Z fresh and sigma from
+    ``coupling``, so each coordinate pair (X_i, Y_i) has correlation rho.
+    The stream is a pure function of (dimension, rho, seed, substream);
+    ``substream`` produces an independent stream for parallel estimation.
     """
 
     dimension: int
     rho: float
     seed: int
     stream: int = 0
+    sigma: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        check_rho(self.rho)
+        object.__setattr__(self, "sigma", coupling(rho=self.rho)[1])
 
     def pairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         if count < 1:
@@ -239,18 +241,17 @@ class CorrelatedSampler:
         rng = gaussian_rng(self.seed, self.stream)
         x = rng.standard_normal((count, self.dimension))
         y = rng.standard_normal((count, self.dimension))
-        y *= np.sqrt(1.0 - self.rho**2)
+        y *= self.sigma
         y += self.rho * x
         return x, y
 
     def pair_batches(self, count: int, batch: int = 1 << 19):
         """Yield (X, Y) blocks covering ``count`` pairs, deterministically."""
         rng = gaussian_rng(self.seed, self.stream)
-        sigma = np.sqrt(1.0 - self.rho**2)
         for m in batch_sizes(count, batch):
             x = rng.standard_normal((m, self.dimension))
             z = rng.standard_normal((m, self.dimension))
-            z *= sigma  # in place: the same sums as rho * x + sigma * z
+            z *= self.sigma  # in place: the same sums as rho * x + sigma * z
             z += self.rho * x
             yield x, z
 
@@ -270,6 +271,24 @@ def check_rho(rho: float) -> float:
     if not abs(rho) <= 1.0:  # also rejects NaN
         raise ValueError(f"rho must be finite with |rho| <= 1, got {rho}")
     return rho
+
+
+def coupling(t: float | None = None, rho: float | None = None) -> tuple[float, float, float]:
+    """(rho, sigma, t) of the coupling Y = rho X + sigma Z from exactly one
+    of the noise time t >= 0 (inf allowed, NaN not) and a rho that passes
+    check_rho: rho = exp(-t), sigma = sqrt(1 - rho*rho), and t = -log(rho),
+    which is inf at rho = 0 and NaN for rho < 0, where no noise time
+    reaches.  The one rule for every sampler, smoother and noise input."""
+    if (t is None) == (rho is None):
+        raise ValueError("specify exactly one of t or rho")
+    if t is not None:
+        if not t >= 0:  # also rejects NaN
+            raise ValueError(f"t must be >= 0, got {t}")
+        rho = math.exp(-t)
+    else:
+        check_rho(rho)
+        t = -math.log(rho) if rho > 0.0 else (math.inf if rho == 0.0 else math.nan)
+    return rho, math.sqrt(1.0 - rho * rho), t
 
 
 def gaussian_rng(seed: int, stream: int = 0) -> np.random.Generator:

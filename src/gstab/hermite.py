@@ -28,6 +28,7 @@ import numpy as np
 from .gauss import (
     MAX_QUADRATURE_DIM,
     contract_axes,
+    coupling,
     gauss_hermite_rule,
     hermite_table,
     tensor_grid,
@@ -210,8 +211,7 @@ def spectral_weights(e: HermiteExpansion, total_mass: float) -> SpectralWeights:
 
 def apply_ou(e: HermiteExpansion, t: float) -> HermiteExpansion:
     """P_t on coefficients: fhat(S) -> exp(-t|S|) fhat(S)."""
-    if not t >= 0:  # also rejects NaN
-        raise ValueError("t must be >= 0")
+    coupling(t)
     coeffs = {S: math.exp(-t * sum(S)) * c for S, c in e.coeffs.items()}
     return HermiteExpansion(e.n, e.k, e.max_degree, coeffs)
 
@@ -222,16 +222,13 @@ def ou_on_points(f, t: float, points: np.ndarray, quad_order: int = 40, k: int |
     The y-integral runs over a tensor-product rule, so the cost is
     quad_order^n vectorized evaluations of f over the batch.
     """
-    if not t >= 0:  # also rejects NaN
-        raise ValueError("t must be >= 0")
+    rho, sigma, _ = coupling(t)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[1]
     if n > MAX_QUADRATURE_DIM:
         raise ValueError(f"quadrature OU limited to n <= {MAX_QUADRATURE_DIM}")
     if t == 0.0:
         return eval_vector_function(f, points, k=k)
-    rho = math.exp(-t)
-    sigma = math.sqrt(1.0 - rho * rho)
     rule = gauss_hermite_rule(quad_order)
     ynodes, yweights = tensor_grid(rule, n)
     acc = None

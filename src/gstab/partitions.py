@@ -38,6 +38,7 @@ from .gauss import (
     binomial_se,
     check_rho,
     contract_axes,
+    coupling,
     gauss_hermite_rule,
     gaussian_rng,
     hermite_table,
@@ -74,22 +75,6 @@ __all__ = [
 ]
 
 DEFAULT_BATCH = 1 << 19
-
-
-def _rho_t(t: float | None, rho: float | None) -> tuple[float, float]:
-    """(rho, t) with rho = exp(-t).  Any rho allowed by gauss.check_rho is
-    accepted; t is inf at rho = 0 and NaN for rho < 0, which no noise
-    time reaches."""
-    if (t is None) == (rho is None):
-        raise ValueError("specify exactly one of t or rho")
-    if t is not None:
-        if not t >= 0:  # also rejects NaN
-            raise ValueError(f"t must be >= 0, got {t}")
-        return math.exp(-t), t
-    check_rho(rho)
-    if rho <= 0.0:
-        return rho, (math.inf if rho == 0.0 else math.nan)
-    return rho, -math.log(rho)
 
 
 @dataclass(frozen=True)
@@ -342,7 +327,7 @@ def estimate_measures(f: PartitionFn, samples: int, seed: int, batch: int = DEFA
 
 
 def _agreement(f, g, t, rho, samples, seed, batch, cell=None):
-    rho, t = _rho_t(t, rho)
+    rho, _, t = coupling(t, rho)
     sampler = CorrelatedSampler(f.n, rho, seed)
     hits = 0
     for X, Y in sampler.pair_batches(samples, batch):

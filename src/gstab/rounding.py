@@ -26,6 +26,7 @@ from .chaos import PolyGauss
 from .gauss import (
     CorrelatedSampler,
     binomial_se,
+    coupling,
     gauss_hermite_rule,
     gaussian_rng,
     hermite_table,
@@ -202,12 +203,9 @@ def smoothed_partition_values(f: PartitionFn, t: float, X: np.ndarray, quad_orde
     quadrature routes use the order-``quad_order`` tensor rule.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if not t >= 0:  # also rejects NaN
-        raise ValueError("t must be >= 0")
+    rho, scale, _ = coupling(t)
     if t == 0.0:
         return f.onehot(X)
-    rho = math.exp(-t)
-    scale = math.sqrt(1.0 - rho * rho)
     way = route(f, "smooth")
     if way == "interval":
         form = interval_form(f)
@@ -377,9 +375,10 @@ def stability_of_rounding(
     under common random numbers.  The cross term E<g, P_t f> is reported
     for the Cauchy-Schwarz diagnostic.
     """
-    if not t > 0:  # also rejects NaN
-        raise ValueError("t must be positive")
-    sampler = CorrelatedSampler(f.n, math.exp(-t), seed)
+    rho, _, _ = coupling(t)
+    if t == 0.0:
+        raise ValueError("t must be > 0: at t = 0 the smoothing is f itself")
+    sampler = CorrelatedSampler(f.n, rho, seed)
     X, Y = sampler.pairs(samples)
     lf_x, lf_y = f.labels(X), f.labels(Y)
     stab_f = float(np.mean(lf_x == lf_y))
@@ -429,6 +428,27 @@ class TruncationReport:
         )
 
 
+def _onehot_expansion(h: PartitionFn, max_degree: int, quad_order: int, shift: float = 0.0):
+    """Hermite expansion to ``max_degree`` of h's one-hot embedding minus
+    ``shift``, on the route partitions.route(h, "expand") names: exact on
+    the interval and sign-table routes (``shift`` comes off the S = 0
+    coefficient, dropped when it vanishes), and on the quadrature route an
+    order-``quad_order`` tensor rule, the only route that reads it, whose
+    coefficients for discontinuous integrands carry O(1/sqrt(order))
+    errors at cell boundaries in general position.
+    """
+    if route(h, "expand") == "quadrature":
+        return expand(lambda X: h.onehot(X) - shift, h.n, max_degree, quad_order=quad_order, k=h.k)
+    emb = exact_expansion(h, max_degree)
+    if shift:
+        zero = (0,) * h.n
+        center = emb.coeffs.get(zero, np.zeros(h.k)) - shift
+        emb.coeffs[zero] = center
+        if np.linalg.norm(center) < 1e-14:
+            del emb.coeffs[zero]
+    return emb
+
+
 def ptf_from_truncation(
     h: PartitionFn,
     d: int,
@@ -444,24 +464,10 @@ def ptf_from_truncation(
     k^2 * W^{>d}[h], with the tail mass computed from the exact total
     embedding mass 1 - 1/k minus the stored coefficient mass.
 
-    The expansion takes the route that partitions.route(h, "expand")
-    names: exact on the interval and sign-table routes, and on the
-    quadrature route an order-``quad_order`` tensor rule, whose
-    coefficients for discontinuous integrands carry O(1/sqrt(order))
-    errors at cell boundaries in general position.
+    The expansion is that of ``_onehot_expansion`` with shift 1/k.
     """
     k = h.k
-    if route(h, "expand") == "quadrature":
-        emb = expand(
-            lambda X: h.onehot(X) - 1.0 / k, h.n, d, quad_order=quad_order, k=k
-        )
-    else:
-        emb = exact_expansion(h, d)
-        zero = (0,) * h.n
-        center = emb.coeffs.get(zero, np.zeros(k)) - 1.0 / k
-        emb.coeffs[zero] = center
-        if np.linalg.norm(center) < 1e-14:
-            del emb.coeffs[zero]
+    emb = _onehot_expansion(h, d, quad_order, shift=1.0 / k)
     per_label: list[dict[tuple[int, ...], float]] = [dict() for _ in range(k)]
     for S, c in emb.coeffs.items():
         for j in range(k):

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chaos import PolyGauss
-from .gauss import CorrelatedSampler, binomial_se, gaussian_rng, label_measures
+from .gauss import CorrelatedSampler, binomial_se, coupling, gaussian_rng, label_measures
 from .hermite import degree_indices
 from .partitions import MultiPTF, PartitionFn, Slabs, partition_to_json, route as partition_route
 from .product_space import (
@@ -76,6 +75,7 @@ class SearchConfig:
 
     def __post_init__(self):
         self.target_mu = np.asarray(self.target_mu, dtype=float)
+        coupling(self.t)
         if self.measure_tol <= 0:
             raise ValueError("measure_tol must be positive")
         if self.budget < 1:
@@ -213,8 +213,7 @@ def optimize_stability(cfg: SearchConfig) -> SearchResult:
     the smooth-then-round pipeline so its measures match the target by
     construction.
     """
-    rho = math.exp(-cfg.t)
-    sampler = CorrelatedSampler(cfg.n0, rho, cfg.seed)
+    sampler = CorrelatedSampler(cfg.n0, coupling(cfg.t)[0], cfg.seed)
     X, Y = sampler.pairs(cfg.samples)
     if cfg.mode == "grid-cover":
         return _optimize_grid(cfg, X, Y)
@@ -357,6 +356,7 @@ class _RoundedPartition(PartitionFn):
     kind = "rounded-ptf"
 
     def __init__(self, ptf: MultiPTF, t: float, z: np.ndarray, quad_order: int):
+        coupling(t)
         self.ptf = ptf
         self.t = t
         self.z = np.asarray(z, dtype=float)
@@ -529,6 +529,7 @@ def ncd_decide(
         raise ValueError("delta must be positive")
     k = mu.shape[0]
     best_val = 0.0  # agreement over an empty feasible set, as in the oracle
+    best_se = 0.0  # exact sums carry no sampling error
     best_detail = "no marginal-feasible pair found"
     best_pair = (None, None)
     best_n = None
@@ -554,7 +555,7 @@ def ncd_decide(
         gstrat = block_strategy(gpart, basis.Y[:, 1], ell, tie_break=True)
         rep = estimate_discrete_corr(fstrat, gstrat, P, samples, seed)
         if rep.agreement > best_val:
-            best_val = rep.agreement
+            best_val, best_se = rep.agreement, rep.agreement_se
             best_pair = (fstrat, gstrat)
             best_n = fstrat.n_coords
             best_detail = f"block embedding, ell={ell}"
@@ -563,7 +564,7 @@ def ncd_decide(
                 True, rep.agreement, rep.agreement_se, fstrat, gstrat,
                 fstrat.n_coords, f"block embedding, ell={ell}", sampled,
             )
-    return NcdDecision(False, best_val, 0.0, *best_pair, best_n, best_detail, sampled)
+    return NcdDecision(False, best_val, best_se, *best_pair, best_n, best_detail, sampled)
 
 
 def _quantile(p: float) -> float:

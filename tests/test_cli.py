@@ -196,6 +196,31 @@ class TestOtherCommands:
         assert res["by_degree"][0] == pytest.approx(0.5, abs=1e-6)
         assert res["tail"] >= 0
 
+    # at --max-degree 40 the default --quad-order 40 would be refused: the
+    # exact routes never read it; the n = 4 slabs and the 5-bit sign table
+    # lie beyond the quadrature cap
+    @pytest.mark.parametrize(
+        "kind, degree", [("slabs-1d", "40"), ("slabs-n4", "3"), ("majority-5", "3")]
+    )
+    def test_hermite_takes_the_exact_route(self, kind, degree, tmp_path, capsys):
+        from gstab.cube import make_voting_rule
+        from gstab.partitions import Slabs, Tabulated, exact_expansion
+
+        f = {
+            "slabs-1d": lambda: Slabs(0, [-0.3, 0.4], [1, 2, 3], n=1),
+            "slabs-n4": lambda: Slabs(3, [-0.3, 0.4], [1, 2, 3], n=4),
+            "majority-5": lambda: Tabulated(make_voting_rule("majority", 5, 2)),
+        }[kind]()
+        path = tmp_path / "f.json"
+        path.write_text(partition_to_json(f))
+        code, out = run_cli(["hermite", "--partition", str(path), "--max-degree", degree], capsys)
+        assert code == 0
+        got = {tuple(e["index"]): e["coeff"] for e in json.loads(out)["result"]["coefficients"]}
+        want = exact_expansion(f, int(degree)).coeffs
+        assert got.keys() == want.keys()
+        for S, c in want.items():
+            np.testing.assert_allclose(got[S], c, rtol=0, atol=1e-15)
+
     def test_simulate(self, dist_file, slabs_file, tmp_path, capsys):
         part = tmp_path / "half.json"
         part.write_text(partition_to_json(Halfspace([0.0], [1.0])))
@@ -249,6 +274,22 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["manifest"]["seed"] == 5
         assert doc["result"]["verdict"] == "not-found"  # the block route ran
+
+    def test_ncd_sampled_not_found_reports_its_error(self, dist_file, capsys):
+        # the block embedding's sampled agreement is the best found but
+        # below kappa - delta: its binomial error goes with it
+        from gstab.gauss import binomial_se
+
+        code, out = run_cli(
+            ["ncd", "--dist", dist_file, "--mu", "[0.3,0.7]", "--nu", "[0.3,0.7]",
+             "--kappa", "0.99", "--delta", "0.02", "--n-max", "3", "--samples", "20000"],
+            capsys,
+        )
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["verdict"] == "not-found" and res["detail"].startswith("block embedding")
+        assert res["achieved_se"] == pytest.approx(binomial_se(res["achieved"], 20000), rel=1e-12)
+        assert res["achieved_se"] > 0.0
 
     def test_search_command(self, tmp_path, capsys):
         from gstab.search import SearchConfig
@@ -412,6 +453,14 @@ class TestExitCodes:
         code, out = run_cli(["cube", "--rule", "dictator", "--n", "3", "--rho", "-0.5"], capsys)
         assert code == 0
         assert json.loads(out)["result"]["stability"] == pytest.approx(0.25, abs=1e-12)
+
+    def test_search_negative_time_is_usage_error(self, tmp_path, capsys):
+        cfg = {"k": 2, "n0": 1, "d": 1, "t": -0.5, "target_mu": [0.5, 0.5],
+               "measure_tol": 0.05, "budget": 5}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_dispatch(["search", "--config", str(path)]) == 2
+        assert "t must be >= 0" in capsys.readouterr().err
 
     def test_numeric_failure_exit(self, tmp_path, capsys):
         # at t = 50 the smoothed values of a skewed partition are one

@@ -7,6 +7,7 @@ from gstab.gauss import (
     HermiteIndex,
     batch_sizes,
     check_rho,
+    coupling,
     gauss_hermite_rule,
     hermite_eval,
     hermite_multi_eval,
@@ -207,6 +208,78 @@ class TestRhoRule:
             orthant_probability_quad(rho)
         with pytest.raises(ValueError, match="shared-factor coupling"):
             quad_joint_cells_1d(Halfspace([0.0], [1.0]), rho)
+
+
+class TestCoupling:
+    """One rule for the Gaussian(rho) coupling: t or rho in, (rho, sigma, t)
+    out, and every noise-time input checked by it."""
+
+    def test_no_noise(self):
+        assert coupling(0.0) == (1.0, 0.0, 0.0)
+
+    def test_independence(self):
+        assert coupling(np.inf) == (0.0, 1.0, np.inf)
+        assert coupling(rho=0.0) == (0.0, 1.0, np.inf)
+
+    def test_negative_rho_has_no_noise_time(self):
+        rho, sigma, t = coupling(rho=-0.3)
+        assert rho == -0.3 and sigma == np.sqrt(1.0 - 0.3 * 0.3) and np.isnan(t)
+
+    @pytest.mark.parametrize("t", [0.5, 0.7, 3.0])
+    def test_time_maps_to_correlation(self, t):
+        rho, sigma, back = coupling(t)
+        assert rho == np.exp(-t) and back == t
+        assert sigma == np.sqrt(1.0 - rho * rho)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"t": 0.5, "rho": 0.5}], ids=["neither", "both"])
+    def test_exactly_one_input(self, kwargs):
+        with pytest.raises(ValueError, match="exactly one of t or rho"):
+            coupling(**kwargs)
+
+    @pytest.mark.parametrize("rho", [np.nan, 1.5, -1.01])
+    def test_rho_rule(self, rho):
+        with pytest.raises(ValueError, match="rho must be finite"):
+            coupling(rho=rho)
+
+
+def _rounded_ptf_json(t):
+    import json
+
+    from gstab.chaos import PolyGauss
+    from gstab.partitions import MultiPTF, partition_to_json
+    from gstab.search import _RoundedPartition
+
+    polys = [PolyGauss.from_hermite_coeffs(2, {(1, 0): c, (0, 1): 1.0 - c}) for c in (0.2, 0.5, 0.9)]
+    doc = json.loads(partition_to_json(_RoundedPartition(MultiPTF(polys), 0.5, np.zeros(3), 8)))
+    doc["payload"]["t"] = t
+    return json.dumps(doc)
+
+
+def _noise_time_entry_points():
+    from gstab.hermite import apply_ou, expand, ou_on_points
+    from gstab.partitions import Halfspace, estimate_stability, partition_from_json
+    from gstab.rounding import smoothed_partition_values, stability_of_rounding
+    from gstab.search import SearchConfig
+
+    half = Halfspace([0.0], [1.0])
+    return {
+        "smoothed_partition_values": lambda t: smoothed_partition_values(half, t, np.zeros((2, 1))),
+        "ou_on_points": lambda t: ou_on_points(lambda X: X, t, np.zeros((2, 1))),
+        "apply_ou": lambda t: apply_ou(expand(lambda X: X[:, 0], 1, 2), t),
+        "stability_of_rounding": lambda t: stability_of_rounding(half, t, samples=100),
+        "estimate_stability": lambda t: estimate_stability(half, t, 100, 0),
+        "SearchConfig": lambda t: SearchConfig(
+            k=2, n0=1, d=1, t=t, target_mu=[0.5, 0.5], measure_tol=0.05, budget=5
+        ),
+        "partition_from_json": lambda t: partition_from_json(_rounded_ptf_json(t)),
+    }
+
+
+@pytest.mark.parametrize("t", [-0.5, np.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("entry", sorted(_noise_time_entry_points()))
+def test_every_noise_time_input_is_checked(entry, t):
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        _noise_time_entry_points()[entry](t)
 
 
 class TestSampleCountGuard:

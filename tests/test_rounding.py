@@ -310,6 +310,11 @@ class TestStabilityOfRounding:
         doc = rep.to_json()
         assert "stab_before" in doc and "stab_after" in doc
 
+    def test_zero_time_rejected(self):
+        # P_0 f = f: rounding at t = 0 compares f with itself
+        with pytest.raises(ValueError, match="t must be > 0"):
+            stability_of_rounding(Halfspace([0.0], [1.0]), 0.0, samples=100)
+
 
 class TestRoundingOptimality:
     def test_rounding_beats_same_measure_interval_partitions(self, rng):
