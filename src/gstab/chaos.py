@@ -565,15 +565,24 @@ def _mc_stream(families, samples: int, seed: int, batch: int):
         yield prods
 
 
+def _stream_estimate(blocks, samples: int) -> ProductEstimate:
+    """Mean and standard error of the samples draws that a stream of
+    per-block value arrays carries; each block is squared in place once
+    its sum is taken."""
+    total = total_sq = 0.0
+    for vals in blocks:
+        total += float(vals.sum())
+        vals *= vals
+        total_sq += float(vals.sum())
+    return ProductEstimate(*mean_se(total, total_sq, samples), samples)
+
+
 def product_expectation_mc(family, samples: int, seed: int, batch: int = 1 << 16) -> ProductEstimate:
     """Monte Carlo estimate of E[prod_i p_i] over the shared dimension."""
     if not family:
         raise ValueError("family must be nonempty")
-    total = total_sq = 0.0
-    for (vals,) in _mc_stream([list(family)], samples, seed, batch):
-        total += vals.sum()
-        total_sq += (vals**2).sum()
-    return ProductEstimate(*mean_se(total, total_sq, samples), samples)
+    blocks = (vals for (vals,) in _mc_stream([list(family)], samples, seed, batch))
+    return _stream_estimate(blocks, samples)
 
 
 def product_difference_mc(family_a, family_b, samples: int, seed: int, batch: int = 1 << 16) -> ProductEstimate:
@@ -584,12 +593,8 @@ def product_difference_mc(family_a, family_b, samples: int, seed: int, batch: in
     """
     if not family_a or not family_b:
         raise ValueError("families must be nonempty")
-    total = total_sq = 0.0
-    for a, b in _mc_stream([list(family_a), list(family_b)], samples, seed, batch):
-        d = a - b
-        total += d.sum()
-        total_sq += (d**2).sum()
-    return ProductEstimate(*mean_se(total, total_sq, samples), samples)
+    blocks = (a - b for a, b in _mc_stream([list(family_a), list(family_b)], samples, seed, batch))
+    return _stream_estimate(blocks, samples)
 
 
 def pair_block_weights(bp: BlockPoly) -> tuple[tuple[tuple[int, int], ...], np.ndarray] | None:
@@ -653,19 +658,18 @@ def pair_block_product_difference(
             W[slot_of[pair], col] = weight
     na = len(family_a)
     rng = gaussian_rng(seed)
-    diff_sum = 0.0
-    diff_sq = 0.0
     scale = 1.0 / (2.0 * math.sqrt(kappa))
-    for m in batch_sizes(samples, batch):
-        S = rng.chisquare(kappa, (m, L))
-        S -= rng.chisquare(kappa, (m, L))
-        S *= scale
-        # one contiguous row per member; the products over rows multiply
-        # the members left to right, row by row
-        vals = np.einsum("xl,lc->cx", S, W)
-        d = vals[:na].prod(axis=0)
-        d -= vals[na:].prod(axis=0)
-        diff_sum += float(d.sum())
-        d *= d
-        diff_sq += float(d.sum())
-    return ProductEstimate(*mean_se(diff_sum, diff_sq, samples), samples)
+
+    def differences():
+        for m in batch_sizes(samples, batch):
+            S = rng.chisquare(kappa, (m, L))
+            S -= rng.chisquare(kappa, (m, L))
+            S *= scale
+            # one contiguous row per member; the products over rows
+            # multiply the members left to right, row by row
+            vals = np.einsum("xl,lc->cx", S, W)
+            d = vals[:na].prod(axis=0)
+            d -= vals[na:].prod(axis=0)
+            yield d
+
+    return _stream_estimate(differences(), samples)

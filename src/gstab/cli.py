@@ -8,8 +8,9 @@ outputs on one platform.  Each subcommand takes only the flags it reads:
 subcommands, --config on search.  The manifest seed is the seed the run
 used: --seed, the config's seed for search, null for the exact
 subcommands (hermite, tensor, basis, cube), and null for ncd unless its
-block-embedding route ran (--n-max > 2 with two labels, reached only when
-the exhaustive search at n <= 2 falls short).  The git
+block-embedding route ran (--n-max > 2 with two labels on a source with
+two or more symbols on each side, reached only when the exhaustive search
+at n <= 2 falls short).  The git
 description is of gstab's own source checkout, whatever the working
 directory (gstab-<version> when the package is not in one), and is taken
 once per process.  Exit codes: 0 success, 2 usage error, 3 numeric
@@ -39,12 +40,7 @@ from .partitions import (
     random_balanced_slabs,
     sheppard_orthant,
 )
-from .product_space import (
-    JointDist,
-    block_strategy,
-    correlation_basis,
-    estimate_discrete_corr,
-)
+from .product_space import JointDist, block_port, correlation_basis, estimate_discrete_corr
 from .rounding import _onehot_expansion, ptf_from_truncation, stability_of_rounding
 from .search import SearchConfig, ncd_brute_oracle, ncd_decide, optimize_stability
 
@@ -124,10 +120,6 @@ def _emit(args, result: dict) -> None:
         sys.stdout.write(text)
 
 
-class SystemExit2(Exception):
-    pass
-
-
 def _load_partition(path: str):
     """A partition file, or the JSON output of ``gstab search``, whose
     result carries the best partition found."""
@@ -168,7 +160,7 @@ def _cmd_stability(args):
 def _cmd_borell_check(args):
     rho, _, _ = coupling(args.t, args.rho)
     if rho < 0:
-        raise SystemExit2(f"borell-check needs rho >= 0 (Borell's inequality reverses below 0), got {rho}")
+        raise ValueError(f"borell-check needs rho >= 0 (Borell's inequality reverses below 0), got {rho}")
     rng = gaussian_rng(args.seed)
     half = 2.0 * sheppard_orthant(rho)
     rows = []
@@ -217,7 +209,7 @@ def _cmd_hermite(args):
 def _cmd_tensor(args):
     f = _load_partition(args.partition)
     if not isinstance(f, MultiPTF):
-        raise SystemExit2("tensor operations need a PTF partition file")
+        raise ValueError("tensor operations need a PTF partition file")
     result = {}
     if args.op in ("eigen", "all"):
         reports = []
@@ -266,9 +258,7 @@ def _cmd_basis(args):
 def _cmd_simulate(args):
     P = _load_dist(args.dist)
     g = _load_partition(args.partition)
-    basis = correlation_basis(P)
-    fstrat = block_strategy(g, basis.X[:, 1], args.ell, tie_break=True)
-    gstrat = block_strategy(g, basis.Y[:, 1], args.ell, tie_break=True)
+    fstrat, gstrat = block_port(P, g, g, args.ell)
     rep = estimate_discrete_corr(fstrat, gstrat, P, args.samples, args.seed)
     _emit(args, json.loads(rep.to_json()))
 
@@ -417,9 +407,6 @@ def cli_dispatch(argv=None) -> int:
     args._argv = effective
     try:
         args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NumericFailure, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -141,9 +141,10 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     Nodes are the eigenvalues of the Jacobi matrix of the orthonormal
     recurrence (zero diagonal, off-diagonal sqrt(1..order-1)), symmetrized
     about 0 to kill the O(eps) asymmetry of the eigensolver.  Weights use
-    the equivalent Christoffel form 1 / sum_q H_q(x_i)^2, which stays
-    positive where the squared-first-eigenvector form underflows for
-    large orders.
+    the equivalent Christoffel form 1 / sum_q H_q(x_i)^2 over hermite_table,
+    which stays positive where the squared-first-eigenvector form
+    underflows for large orders.  From order 371 the smallest weight
+    would be subnormal, and the rule is refused.
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
@@ -154,24 +155,14 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     nodes = 0.5 * (nodes - nodes[::-1])
     if order % 2 == 1:
         nodes[order // 2] = 0.0
-    # Christoffel sum with running rescaling: H_q(x) overflows near the
-    # extreme nodes for orders in the hundreds, but log(sum H_q^2) does not
-    h_prev = np.ones_like(nodes)
-    h_cur = nodes.copy()
-    acc = h_prev**2 + h_cur**2
-    logscale = np.zeros_like(nodes)
-    rescale = 1e130
-    for j in range(1, order - 1):
-        h_cur, h_prev = (nodes * h_cur - math.sqrt(j) * h_prev) / math.sqrt(j + 1), h_cur
-        acc += h_cur**2
-        big = np.abs(h_cur) > rescale
-        if np.any(big):
-            h_prev[big] /= rescale
-            h_cur[big] /= rescale
-            acc[big] /= rescale**2
-            logscale[big] += math.log(rescale)
-    weights = np.exp(-(np.log(acc) + 2.0 * logscale))
-    if np.any(weights == 0.0):
+    # the sum overflows only at the extreme nodes of orders past 370, where
+    # the weight would be subnormal anyway; the overflow (or NaN, from
+    # inf - inf in the recurrence past order ~730) fails the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = hermite_table(order - 1, nodes)
+        table *= table
+        weights = np.exp(-np.log(table.sum(axis=0)))
+    if not np.all(weights > 0.0):
         raise ValueError("quadrature order too large for double-precision weights")
     weights = 0.5 * (weights + weights[::-1])
     weights = weights / weights.sum()
@@ -238,22 +229,21 @@ class CorrelatedSampler:
     def pairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         if count < 1:
             raise ValueError("count must be >= 1")
-        rng = gaussian_rng(self.seed, self.stream)
-        x = rng.standard_normal((count, self.dimension))
-        y = rng.standard_normal((count, self.dimension))
-        y *= self.sigma
-        y += self.rho * x
-        return x, y
+        return self._draw(gaussian_rng(self.seed, self.stream), count)
 
     def pair_batches(self, count: int, batch: int = 1 << 19):
         """Yield (X, Y) blocks covering ``count`` pairs, deterministically."""
         rng = gaussian_rng(self.seed, self.stream)
         for m in batch_sizes(count, batch):
-            x = rng.standard_normal((m, self.dimension))
-            z = rng.standard_normal((m, self.dimension))
-            z *= self.sigma  # in place: the same sums as rho * x + sigma * z
-            z += self.rho * x
-            yield x, z
+            yield self._draw(rng, m)
+
+    def _draw(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next m pairs of rng's stream: X, then Z turned into Y."""
+        x = rng.standard_normal((m, self.dimension))
+        y = rng.standard_normal((m, self.dimension))
+        y *= self.sigma  # in place: the same sums as rho * x + sigma * z
+        y += self.rho * x
+        return x, y
 
     def substream(self, index: int) -> "CorrelatedSampler":
         return CorrelatedSampler(self.dimension, self.rho, self.seed, index)

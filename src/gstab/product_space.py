@@ -35,6 +35,8 @@ __all__ = [
     "exact_correlation",
     "BlockStrategy",
     "block_strategy",
+    "has_block_port",
+    "block_port",
     "DiscreteCorrReport",
     "estimate_discrete_corr",
     "binary_symmetric",
@@ -307,6 +309,25 @@ def block_strategy(g: PartitionFn, basis_values, ell: int, tie_break: bool = Fal
     if ell < 1:
         raise ValueError("ell must be >= 1")
     return BlockStrategy(g, np.asarray(basis_values, dtype=float), ell, tie_break)
+
+
+def has_block_port(P: JointDist) -> bool:
+    """Whether P has a block port: its top correlation pair X_1, Y_1
+    exists only with two or more symbols on each side."""
+    return min(P.mA, P.mB) >= 2
+
+
+def block_port(P: JointDist, f: PartitionFn, g: PartitionFn, ell: int) -> tuple[BlockStrategy, BlockStrategy]:
+    """The finite-source port of a pair of Gaussian partitions [GKS:16]:
+    f on ell-block averages of X_1 over A, g on those of Y_1 over B, both
+    with the tie dither, where (X_1, Y_1) is P's top correlation pair."""
+    if not has_block_port(P):
+        raise ValueError(f"a block port needs two symbols on each side, got {P.mA} x {P.mB}")
+    basis = correlation_basis(P)
+    return (
+        block_strategy(f, basis.X[:, 1], ell, tie_break=True),
+        block_strategy(g, basis.Y[:, 1], ell, tie_break=True),
+    )
 
 
 @dataclass

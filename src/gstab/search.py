@@ -27,13 +27,7 @@ from .chaos import PolyGauss
 from .gauss import CorrelatedSampler, binomial_se, coupling, gaussian_rng, label_measures
 from .hermite import degree_indices
 from .partitions import MultiPTF, PartitionFn, Slabs, partition_to_json, route as partition_route
-from .product_space import (
-    JointDist,
-    _word_law,
-    block_strategy,
-    correlation_basis,
-    estimate_discrete_corr,
-)
+from .product_space import JointDist, _word_law, block_port, estimate_discrete_corr, has_block_port
 from .rounding import round_values, smoothed_partition_values, _smooth_match_round
 from .rounding import _match_threshold_on_values  # bench/spans.py traces the matcher through this name
 
@@ -137,19 +131,26 @@ def _grid_polynomials(n0: int, d: int, bound: float, step: float, guard: int) ->
         )
     seen = {}
     for combo in itertools.product(ticks, repeat=len(indices)):
-        vec = np.asarray(combo)
-        norm = float(np.linalg.norm(vec))
+        norm = float(np.linalg.norm(combo))
         if norm == 0.0:
             continue
-        vec = vec / norm
         for c0 in ticks:
-            key = tuple(np.round(np.concatenate(([c0 / norm], vec)), 12))
-            if key in seen:
-                continue
-            coeffs = {S: float(v) for S, v in zip(indices, vec) if v != 0.0}
-            coeffs[(0,) * n0] = float(c0 / norm)
-            seen[key] = PolyGauss.from_hermite_coeffs(n0, coeffs)
+            unit = np.concatenate(([c0], combo)) / norm
+            key = tuple(np.round(unit, 12))
+            if key not in seen:
+                seen[key] = _hermite_poly(n0, indices, unit)
     return list(seen.values())
+
+
+def _hermite_poly(n0: int, indices, coeffs: np.ndarray) -> PolyGauss:
+    """c_0 + sum_S c_S H_S for coeffs = (c_0, then c_S over indices).
+
+    Both searches pass coefficients divided entrywise by the norm of the
+    c_S, so the degree >= 1 part has unit variance.
+    """
+    terms = dict(zip(indices, coeffs[1:].tolist()))
+    terms[(0,) * n0] = float(coeffs[0])
+    return PolyGauss.from_hermite_coeffs(n0, terms)
 
 
 def _cover(k: int, n0: int, d: int, coeff_bound: float, step: float, guard: int):
@@ -300,9 +301,7 @@ def _optimize_local(cfg: SearchConfig, X, Y) -> SearchResult:
                 chunk = chunk.copy()
                 chunk[1] = 1.0
                 norm = 1.0
-            coeffs = {S: float(v / norm) for S, v in zip(indices, chunk[1:])}
-            coeffs[(0,) * cfg.n0] = float(chunk[0] / norm)
-            polys.append(PolyGauss.from_hermite_coeffs(cfg.n0, coeffs))
+            polys.append(_hermite_poly(cfg.n0, indices, chunk / norm))
         return MultiPTF(polys)
 
     best = None
@@ -319,8 +318,7 @@ def _optimize_local(cfg: SearchConfig, X, Y) -> SearchResult:
         trace.append((evals, "restart", cur[1], binomial_se(cur[1], cfg.samples, 1e-12)))
         if best is None or cur[:2] > best[0][:2]:
             best = (cur, ptf)
-        improved = True
-        while improved and evals < cfg.budget and step > 1e-3:
+        while evals < cfg.budget and step > 1e-3:
             improved = False
             for i in range(vec.size):
                 for sign in (+1.0, -1.0):
@@ -340,7 +338,6 @@ def _optimize_local(cfg: SearchConfig, X, Y) -> SearchResult:
                         break
             if not improved:
                 step *= 0.5
-                improved = True
     (feasible, value, mu, search), ptf = best
     rounded = _RoundedPartition(ptf, cfg.t, search.z.z, cfg.quad_order)
     return SearchResult(rounded, value, binomial_se(value, cfg.samples), mu, evals, feasible, trace)
@@ -516,7 +513,8 @@ def ncd_decide(
     Word lengths n <= min(n_max, 2) are searched exhaustively with exact
     probability sums, under the oracle's enumeration guard; the first pair
     in enumeration order (f, then g) that meets the threshold is returned.
-    If that fails and n_max allows, a block-embedded Gaussian construction
+    If that fails, n_max > 2, k = 2 and P has a block port (two or more
+    symbols on each side), a block-embedded Gaussian construction
     (measure-matched slab partitions on the maximal correlation
     coordinates) is scored by simulation.  "not-found" means the search
     failed, not that no protocol exists; it reports the first best pair.
@@ -546,13 +544,11 @@ def ncd_decide(
                 return NcdDecision(True, float(agree[i, j]), 0.0, *pair, n, detail)
             if agree[i, j] > best_val:
                 best_val, best_pair, best_n, best_detail = float(agree[i, j]), pair, n, detail
-    sampled = n_max > 2 and k == 2
+    sampled = n_max > 2 and k == 2 and has_block_port(P)
     if sampled:
-        basis = correlation_basis(P)
         fpart = Slabs(0, [_quantile(mu[0])], [1, 2], n=1)
         gpart = Slabs(0, [_quantile(nu[0])], [1, 2], n=1)
-        fstrat = block_strategy(fpart, basis.X[:, 1], ell, tie_break=True)
-        gstrat = block_strategy(gpart, basis.Y[:, 1], ell, tie_break=True)
+        fstrat, gstrat = block_port(P, fpart, gpart, ell)
         rep = estimate_discrete_corr(fstrat, gstrat, P, samples, seed)
         if rep.agreement > best_val:
             best_val, best_se = rep.agreement, rep.agreement_se

@@ -449,6 +449,32 @@ class TestExitCodes:
         assert cli_dispatch(["borell-check", "--rho", "-0.5"]) == 2
         assert "Borell's inequality reverses" in capsys.readouterr().err
 
+    def test_tensor_needs_a_ptf_partition_file(self, halfspace_file, capsys):
+        assert cli_dispatch(["tensor", "--partition", halfspace_file]) == 2
+        assert "error: tensor operations need a PTF partition file" in capsys.readouterr().err
+
+    def test_simulate_on_a_one_symbol_side_is_usage_error(self, tmp_path, halfspace_file, capsys):
+        dist = tmp_path / "one.json"
+        dist.write_text(json.dumps({"A": 1, "B": 2, "rows": [[0.5, 0.5]]}))
+        code = cli_dispatch(["simulate", "--dist", str(dist), "--partition", halfspace_file,
+                             "--samples", "1000"])
+        assert code == 2
+        assert "two symbols on each side, got 1 x 2" in capsys.readouterr().err
+
+    def test_ncd_on_a_one_symbol_side_skips_the_block_route(self, tmp_path, capsys):
+        dist = tmp_path / "one.json"
+        dist.write_text(json.dumps({"A": 1, "B": 2, "rows": [[0.5, 0.5]]}))
+        code, out = run_cli(
+            ["ncd", "--dist", str(dist), "--mu", "[0.5,0.5]", "--nu", "[0.5,0.5]",
+             "--kappa", "0.99", "--delta", "0.01", "--n-max", "3", "--samples", "1000"],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["manifest"]["seed"] is None
+        assert doc["result"]["verdict"] == "not-found"
+        assert doc["result"]["detail"] == "no marginal-feasible pair found"
+
     def test_cube_accepts_negative_rho(self, capsys):
         code, out = run_cli(["cube", "--rule", "dictator", "--n", "3", "--rho", "-0.5"], capsys)
         assert code == 0

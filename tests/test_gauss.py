@@ -1,4 +1,6 @@
 """Hermite primitives, quadrature, and the correlated sampler."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,31 @@ class TestQuadrature:
     def test_zero_order_rejected(self):
         with pytest.raises(ValueError):
             gauss_hermite_rule(0)
+
+    # sha256 of nodes then weights, recorded while the Christoffel sum ran
+    # its own rescaled recurrence: taking it from hermite_table moved no bit
+    @pytest.mark.parametrize(
+        "order, digest",
+        [
+            (1, "fc62429c3e69001d65972cdeb94fb9aa18a7d9c16bc449e1e474e7e41bb95a7d"),
+            (2, "d53b18245c03f2406b44c2c249a0133ed8e360c436f1b343505e7e5200bf6dee"),
+            (5, "13b0f22e5fe0c8f2c5a297c27f422e611f641627e43361b2286877623080aea8"),
+            (16, "56f784496606ba4eb6857cee115ead8e0682da235f746a14cbd879d87292354c"),
+            (40, "40b98b34d044a482ee9fe242434547f60e5734d8342c0a9074a5cbc526bae671"),
+            (80, "d1dbe4dac3ccd99217ec7a70c35b5cef177c18428fd2d09abae806b5e1bbb849"),
+            (128, "06eca44f53491b0e50511664f8c02aa317b19360c46486ec608a7abe791df306"),
+            (300, "2a8d5440f7e503dce6082f8a040ba75d48a5ce503dc9bd31d290b6d2c2d1833c"),
+        ],
+    )
+    def test_rule_bytes_are_pinned(self, order, digest):
+        r = gauss_hermite_rule(order)
+        assert hashlib.sha256(r.nodes.tobytes() + r.weights.tobytes()).hexdigest() == digest
+
+    def test_order_with_subnormal_weights_refused(self):
+        # at order 371 the extreme weight is about 1.9e-309, subnormal
+        assert gauss_hermite_rule(370).weights.min() > 0.0
+        with pytest.raises(ValueError, match="quadrature order too large"):
+            gauss_hermite_rule(371)
 
     def test_tensor_grid_dimension_guard(self):
         r = gauss_hermite_rule(3)

@@ -10,6 +10,7 @@ from gstab.partitions import Halfspace, Slabs
 from gstab.product_space import (
     JointDist,
     binary_symmetric,
+    block_port,
     block_strategy,
     correlation,
     correlation_basis,
@@ -293,3 +294,24 @@ class TestBlockStrategies:
         rep = estimate_discrete_corr(FirstSymbol(), FirstSymbol(), P, 300_000, 9)
         expect = 0.3 * 0.3 + 0.7 * 0.7
         assert rep.agreement == pytest.approx(expect, abs=3 * rep.agreement_se)
+
+
+class TestBlockPort:
+    def test_port_is_the_hand_built_pair(self, rng):
+        P = random_joint(rng, 3, 2)
+        basis = correlation_basis(P)
+        f = Halfspace([0.0], [1.0])
+        g = Slabs(0, [-0.3], [1, 2], n=1)
+        fstrat, gstrat = block_port(P, f, g, 12)
+        for strat, part, values in ((fstrat, f, basis.X[:, 1]), (gstrat, g, basis.Y[:, 1])):
+            want = block_strategy(part, values, 12, tie_break=True)
+            assert strat.partition is part
+            assert strat.basis_values.tobytes() == want.basis_values.tobytes()
+            assert (strat.ell, strat.tie_break) == (want.ell, want.tie_break) == (12, True)
+
+    @pytest.mark.parametrize("rows", [[[0.5, 0.5]], [[0.5], [0.5]]], ids=["1x2", "2x1"])
+    def test_one_symbol_side_has_no_port(self, rows):
+        P = JointDist(np.array(rows))
+        g = Halfspace([0.0], [1.0])
+        with pytest.raises(ValueError, match="two symbols on each side"):
+            block_port(P, g, g, 8)
