@@ -13,12 +13,13 @@ of disjoint copies drive the eigenregularity of the matched families.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import batch_sizes, gaussian_rng, mean_se
+from .gauss import batch_sizes, gaussian_points, gaussian_rng, mean_se
 from .tensors import (
     SymmetricTensor,
     _chaos_terms,
@@ -341,11 +342,9 @@ class EigenReport:
 
 def _canonical_bipartitions(q: int):
     """Proper bipartitions of range(q) up to complementation (0 in left)."""
-    import itertools as it
-
     for size in range(1, q):
-        for left in it.combinations(range(q), size):
-            if 0 in left and len(left) < q:
+        for left in itertools.combinations(range(q), size):
+            if 0 in left:
                 yield left
 
 
@@ -553,9 +552,7 @@ def _mc_stream(families, samples: int, seed: int, batch: int):
     for fam in families:
         if any(p.n != n for p in fam):
             raise ValueError("family members live on different dimensions")
-    rng = gaussian_rng(seed)
-    for mcount in batch_sizes(samples, batch):
-        X = rng.standard_normal((mcount, n))
+    for X in gaussian_points(n, samples, seed, batch):
         prods = []
         for fam in families:
             vals = fam[0].eval_many(X)

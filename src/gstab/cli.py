@@ -15,7 +15,13 @@ description is of gstab's own source checkout, whatever the working
 directory (gstab-<version> when the package is not in one), and is taken
 once per process.  Exit codes: 0 success, 2 usage error, 3 numeric
 failure (e.g. a threshold search that did not converge).  Diagnostics go
-to stderr.
+to stderr.  These inputs are refused as usage errors, with a message
+that names them: a NaN or negative --t; a NaN rho or one outside
+[-1, 1]; a tolerance (--tol, --delta, a config's measure_tol) that is not
+finite and > 0; a NaN or infinite --kappa; a distribution (--mu, --nu, a
+config's target_mu, the rows of a --dist file) with a non-numeric,
+non-finite or negative entry, the wrong number of entries, or a sum away
+from 1; and --samples below 1.
 """
 from __future__ import annotations
 

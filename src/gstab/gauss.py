@@ -48,6 +48,9 @@ __all__ = [
     "label_measures",
     "check_rho",
     "coupling",
+    "check_distribution",
+    "check_tolerance",
+    "gaussian_points",
 ]
 
 MAX_QUADRATURE_DIM = 3  # largest n for tensor-product rules over R^n
@@ -124,7 +127,7 @@ class QuadratureRule:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("quadrature order must be >= 1")
-        if np.any(self.weights <= 0):
+        if not np.all(self.weights > 0):  # also rejects NaN
             raise ValueError("quadrature weights must be strictly positive")
         if abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("quadrature weights must sum to 1")
@@ -281,6 +284,33 @@ def coupling(t: float | None = None, rho: float | None = None) -> tuple[float, f
     return rho, math.sqrt(1.0 - rho * rho), t
 
 
+def check_distribution(p, k: int | None = None, atol: float = 1e-9, name: str = "p") -> np.ndarray:
+    """The probability-vector rule shared by every measure target and
+    joint law: a vector of finite entries >= 0, k of them when k is given,
+    summing to 1 within atol.  Returns p as a float array."""
+    try:
+        p = np.asarray(p, dtype=float)
+    except (TypeError, ValueError):  # a JSON object or string, say
+        raise ValueError(f"{name} must be a vector of numbers, got {p!r}") from None
+    if p.ndim != 1 or (k is not None and p.shape[0] != k):
+        want = "a vector" if k is None else f"a vector of {k} entries"
+        raise ValueError(f"{name} must be {want}, got shape {p.shape}")
+    if not np.all((p >= 0.0) & (p < math.inf)):  # also rejects NaN
+        raise ValueError(f"{name} entries must be finite and >= 0")
+    if not abs(p.sum() - 1.0) <= atol:
+        raise ValueError(f"{name} must sum to 1 within {atol:g}, got {float(p.sum())}")
+    return p
+
+
+def check_tolerance(x: float, name: str, allow_zero: bool = False) -> float:
+    """The tolerance rule shared by every accuracy input: x finite and
+    > 0, or >= 0 with allow_zero, where an exact target is reachable."""
+    above = x >= 0.0 if allow_zero else x > 0.0  # False for NaN
+    if not (above and x < math.inf):
+        raise ValueError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, got {x}")
+    return x
+
+
 def gaussian_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """The seeded generator of stream ``stream``; the one seed -> stream map."""
     return np.random.default_rng(
@@ -299,6 +329,14 @@ def batch_sizes(total: int, batch: int):
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     return (min(batch, total - start) for start in range(0, total, batch))
+
+
+def gaussian_points(n: int, samples: int, seed: int, batch: int):
+    """The seeded N(0, I_n) point stream: blocks of at most ``batch`` rows
+    covering ``samples``, equal bit for bit to one draw of ``samples``
+    rows.  Raises ValueError at once, as batch_sizes does."""
+    rng = gaussian_rng(seed)
+    return (rng.standard_normal((m, n)) for m in batch_sizes(samples, batch))
 
 
 def binomial_se(p, n: int, floor: float = 0.0):

@@ -34,13 +34,12 @@ from .cube import CubeFn
 from .gauss import (
     MAX_QUADRATURE_DIM,
     CorrelatedSampler,
-    batch_sizes,
     binomial_se,
     check_rho,
     contract_axes,
     coupling,
     gauss_hermite_rule,
-    gaussian_rng,
+    gaussian_points,
     hermite_table,
 )
 from .hermite import HermiteExpansion, degree_indices
@@ -317,10 +316,9 @@ def estimate_measures(f: PartitionFn, samples: int, seed: int, batch: int = DEFA
     """Empirical cell frequencies with per-label binomial standard errors."""
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    rng = gaussian_rng(seed)
     counts = np.zeros(f.k)
-    for m in batch_sizes(samples, batch):
-        lab = f.labels(rng.standard_normal((m, f.n)))
+    for X in gaussian_points(f.n, samples, seed, batch):
+        lab = f.labels(X)
         counts += np.bincount(lab, minlength=f.k + 1)[1:]
     mu = counts / samples
     return MeasureVector(mu, binomial_se(mu, samples))
@@ -363,10 +361,9 @@ def collision_probability(f: MultiPTF, samples: int, seed: int, batch: int = DEF
     """Pr[#{j : p_j(x) > 0} != 1] for a PTF partition."""
     if not isinstance(f, MultiPTF):
         raise ValueError("collision probability is defined for PTF partitions")
-    rng = gaussian_rng(seed)
     hits = 0
-    for m in batch_sizes(samples, batch):
-        hits += int(np.count_nonzero(f.collisions(rng.standard_normal((m, f.n)))))
+    for X in gaussian_points(f.n, samples, seed, batch):
+        hits += int(np.count_nonzero(f.collisions(X)))
     value = hits / samples
     return StabEstimate(value, binomial_se(value, samples), samples, 0.0, seed)
 
@@ -471,8 +468,6 @@ def interval_form(f: PartitionFn) -> IntervalForm | None:
         if int(lab) != keep_labels[-1]:
             keep_cuts.append(cut)
             keep_labels.append(int(lab))
-    if not keep_cuts:
-        return IntervalForm(np.ones(1), np.empty(0), np.array(keep_labels), f.k)
     return IntervalForm(
         np.ones(1), np.asarray(keep_cuts), np.asarray(keep_labels), f.k
     )

@@ -20,7 +20,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .gauss import batch_sizes, binomial_se, check_rho, contract_axes, gaussian_rng
+from .gauss import batch_sizes, binomial_se, check_distribution, check_rho, contract_axes, gaussian_rng
 from .partitions import PartitionFn
 
 __all__ = [
@@ -56,10 +56,7 @@ class JointDist:
         P = np.asarray(self.P, dtype=float)
         if P.ndim != 2:
             raise ValueError("P must be a matrix")
-        if np.any(P < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(P.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
+        check_distribution(P.ravel(), atol=1e-12, name="source P")
         if np.any(P.sum(axis=1) <= 0) or np.any(P.sum(axis=0) <= 0):
             raise ValueError("zero-mass alphabet symbols are rejected")
         self.P = P

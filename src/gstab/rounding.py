@@ -26,9 +26,11 @@ from .chaos import PolyGauss
 from .gauss import (
     CorrelatedSampler,
     binomial_se,
+    check_distribution,
+    check_tolerance,
     coupling,
     gauss_hermite_rule,
-    gaussian_rng,
+    gaussian_points,
     hermite_table,
     label_measures,
     tensor_grid,
@@ -185,15 +187,11 @@ def find_matching_threshold(
     can put tol out of reach; the best iterate then comes back with
     ``converged`` false rather than raising.
     """
-    target = np.asarray(target, dtype=float)
-    if abs(target.sum() - 1.0) > 1e-9:
-        raise ValueError("target measures must sum to 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rng = gaussian_rng(seed)
-    X = rng.standard_normal((samples, n))
+    check_tolerance(tol, "tol")
+    (X,) = gaussian_points(n, samples, seed, batch=samples)
     FX = np.asarray(F(X), dtype=float)
     _check_simplex(FX, 1e-6)
+    target = check_distribution(target, FX.shape[1], name="target")
     return _match_threshold_on_values(FX, target, tol)
 
 
@@ -378,6 +376,7 @@ def stability_of_rounding(
     rho, _, _ = coupling(t)
     if t == 0.0:
         raise ValueError("t must be > 0: at t = 0 the smoothing is f itself")
+    check_tolerance(tol, "tol")
     sampler = CorrelatedSampler(f.n, rho, seed)
     X, Y = sampler.pairs(samples)
     lf_x, lf_y = f.labels(X), f.labels(Y)
@@ -466,6 +465,7 @@ def ptf_from_truncation(
 
     The expansion is that of ``_onehot_expansion`` with shift 1/k.
     """
+    points = gaussian_points(h.n, samples, seed, batch=samples)  # checks samples now, draws below
     k = h.k
     emb = _onehot_expansion(h, d, quad_order, shift=1.0 / k)
     per_label: list[dict[tuple[int, ...], float]] = [dict() for _ in range(k)]
@@ -476,8 +476,7 @@ def ptf_from_truncation(
     polys = [PolyGauss.from_hermite_coeffs(h.n, coeffs) for coeffs in per_label]
     g = MultiPTF(polys)
     tail = (1.0 - 1.0 / k) - emb.norm2()
-    rng = gaussian_rng(seed)
-    Xs = rng.standard_normal((samples, h.n))
+    (Xs,) = points
     positive = g.positive_sets(Xs)
     glab = MultiPTF.labels_from_positive(positive)
     hlab = h.labels(Xs)

@@ -18,13 +18,22 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chaos import PolyGauss
-from .gauss import CorrelatedSampler, binomial_se, coupling, gaussian_rng, label_measures
+from .gauss import (
+    CorrelatedSampler,
+    binomial_se,
+    check_distribution,
+    check_tolerance,
+    coupling,
+    gaussian_rng,
+    label_measures,
+)
 from .hermite import degree_indices
 from .partitions import MultiPTF, PartitionFn, Slabs, partition_to_json, route as partition_route
 from .product_space import JointDist, _word_law, block_port, estimate_discrete_corr, has_block_port
@@ -68,16 +77,13 @@ class SearchConfig:
     quad_order: int = 24
 
     def __post_init__(self):
-        self.target_mu = np.asarray(self.target_mu, dtype=float)
+        self.target_mu = check_distribution(self.target_mu, self.k, name="target_mu")
         coupling(self.t)
-        if self.measure_tol <= 0:
-            raise ValueError("measure_tol must be positive")
+        check_tolerance(self.measure_tol, "measure_tol")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.mode not in ("grid-cover", "random-restart-local"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.target_mu.shape != (self.k,) or abs(self.target_mu.sum() - 1.0) > 1e-9:
-            raise ValueError("target_mu must be a length-k distribution")
 
     def to_json(self) -> str:
         doc = {f: getattr(self, f) for f in (
@@ -486,10 +492,12 @@ def ncd_brute_oracle(P: JointDist, mu, nu, k: int, n: int, delta: float) -> floa
     Enumerates every f: A^n -> [k] and g: B^n -> [k] whose marginals are
     within delta (l1) of the targets and maximizes
     Pr[f(X^n) = g(Y^n)] computed by exact summation.  Guarded to keep
-    k^(m^n) enumerable; n <= 2 on small alphabets in practice.
+    k^(m^n) enumerable; n <= 2 on small alphabets in practice.  delta = 0
+    asks for the target marginals exactly.
     """
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    mu = check_distribution(mu, k, name="mu")
+    nu = check_distribution(nu, k, name="nu")
+    check_tolerance(delta, "delta", allow_zero=True)
     best = 0.0
     for _, _, agree in _ncd_tables(P, mu, nu, k, n, delta):
         best = max(best, float(agree.max()))
@@ -519,12 +527,11 @@ def ncd_decide(
     coordinates) is scored by simulation.  "not-found" means the search
     failed, not that no protocol exists; it reports the first best pair.
     """
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if abs(mu.sum() - 1) > 1e-9 or abs(nu.sum() - 1) > 1e-9:
-        raise ValueError("marginal targets must be distributions")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    mu = check_distribution(mu, name="mu")
+    nu = check_distribution(nu, mu.shape[0], name="nu")
+    check_tolerance(delta, "delta")
+    if not math.isfinite(kappa):  # any finite kappa: one past 1 + delta is never met
+        raise ValueError(f"kappa must be finite, got {kappa}")
     k = mu.shape[0]
     best_val = 0.0  # agreement over an empty feasible set, as in the oracle
     best_se = 0.0  # exact sums carry no sampling error

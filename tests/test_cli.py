@@ -410,6 +410,14 @@ class TestProcessCaches:
         assert cli.build_parser() is not cli.build_parser()
 
 
+def _ncd_argv(dist="{bss}", mu="[0.5,0.5]", nu="[0.5,0.5]", kappa="0.75", delta="0.02"):
+    return ["ncd", "--dist", dist, "--mu", mu, "--nu", nu, "--kappa", kappa, "--delta", delta]
+
+
+def _round_argv(tol):
+    return ["round", "--partition", "{half}", "--t", "0.5", "--samples", "2000", "--tol", tol]
+
+
 class TestExitCodes:
     def test_missing_file_is_usage_error(self, capsys):
         assert cli_dispatch(["stability", "--partition", "/no/such.json", "--rho", "0.5"]) == 2
@@ -444,6 +452,52 @@ class TestExitCodes:
         code = cli_dispatch([a.format(half=halfspace_file) for a in argv])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (_ncd_argv(dist="{nan_dist}"), "source P entries must be finite and >= 0"),
+            (_ncd_argv(mu="[1.5,-0.5]"), "mu entries must be finite and >= 0"),
+            (_ncd_argv(mu="[NaN,NaN]"), "mu entries must be finite and >= 0"),
+            (_ncd_argv(mu="[]"), "mu must sum to 1"),
+            (_ncd_argv(mu='{{"a": 1}}'), "mu must be a vector of numbers"),  # braces doubled for format
+            (_ncd_argv(nu="[1.0]"), "nu must be a vector of 2 entries"),
+            (_ncd_argv(nu="[0.5,0.6]"), "nu must sum to 1"),
+            (_ncd_argv(delta="nan"), "delta must be finite and > 0"),
+            (_ncd_argv(kappa="nan"), "kappa must be finite"),
+            (_round_argv("-1"), "tol must be finite and > 0"),
+            (_round_argv("nan"), "tol must be finite and > 0"),
+            (_round_argv("0"), "tol must be finite and > 0"),
+            (["search", "--config", "{cfg_nan_target}"], "target_mu entries must be finite and >= 0"),
+            (["search", "--config", "{cfg_negative_target}"], "target_mu entries must be finite and >= 0"),
+            (["search", "--config", "{cfg_nan_tol}"], "measure_tol must be finite and > 0"),
+            (["basis", "--dist", "{nan_dist}"], "source P entries must be finite and >= 0"),
+            (["simulate", "--dist", "{nan_dist}", "--partition", "{half}", "--samples", "1000"],
+             "source P entries must be finite and >= 0"),
+        ],
+        ids=[
+            "ncd-nan-source", "ncd-negative-mu", "ncd-nan-mu", "ncd-empty-mu", "ncd-dict-mu", "ncd-short-nu",
+            "ncd-nu-sum", "ncd-nan-delta", "ncd-nan-kappa", "round-negative-tol",
+            "round-nan-tol", "round-zero-tol", "search-nan-target", "search-negative-target",
+            "search-nan-tol", "basis-nan-source", "simulate-nan-source",
+        ],
+    )
+    def test_bad_input_is_usage_error(self, argv, named, halfspace_file, dist_file, tmp_path, capsys):
+        paths = {"half": halfspace_file, "bss": dist_file}
+        paths["nan_dist"] = tmp_path / "nan.json"
+        paths["nan_dist"].write_text('{"A": 2, "B": 2, "rows": [[NaN, 0.5], [0.25, 0.25]]}')
+        search = {"k": 2, "n0": 1, "d": 1, "t": 0.5, "target_mu": [0.5, 0.5],
+                  "measure_tol": 0.05, "budget": 5, "samples": 2000}
+        for name, key, value in [
+            ("cfg_nan_target", "target_mu", [math.nan, math.nan]),
+            ("cfg_negative_target", "target_mu", [1.5, -0.5]),
+            ("cfg_nan_tol", "measure_tol", math.nan),
+        ]:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps({**search, key: value}))
+        code = cli_dispatch([a.format(**paths) for a in argv])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}")
 
     def test_borell_check_needs_nonnegative_rho(self, capsys):
         assert cli_dispatch(["borell-check", "--rho", "-0.5"]) == 2

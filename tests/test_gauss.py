@@ -7,10 +7,15 @@ import pytest
 from gstab.gauss import (
     CorrelatedSampler,
     HermiteIndex,
+    QuadratureRule,
     batch_sizes,
+    check_distribution,
     check_rho,
+    check_tolerance,
     coupling,
     gauss_hermite_rule,
+    gaussian_points,
+    gaussian_rng,
     hermite_eval,
     hermite_multi_eval,
     hermite_table,
@@ -78,6 +83,10 @@ class TestQuadrature:
     def test_variance_of_gamma(self):
         r = gauss_hermite_rule(20)
         assert np.dot(r.weights, r.nodes**2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_nan_weights_rejected(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            QuadratureRule(2, np.array([-1.0, 1.0]), np.array([np.nan, np.nan]))
 
     @pytest.mark.parametrize("order", [5, 17, 40, 100])
     def test_rule_invariants(self, order):
@@ -349,3 +358,159 @@ class TestSampleCountGuard:
         assert list(batch_sizes(1, 4)) == [1]
         with pytest.raises(ValueError):
             batch_sizes(5, 0)
+
+
+class TestInputRules:
+    """One probability-vector rule, one tolerance rule and one seeded
+    point draw, each checked at every entry point that reads one."""
+
+    def test_distribution_accepted(self):
+        p = check_distribution([0.25, 0.75, 0.0], 3)
+        assert p.dtype == float and p.tolist() == [0.25, 0.75, 0.0]
+        assert check_distribution(np.array([1.0])).tolist() == [1.0]
+
+    @pytest.mark.parametrize(
+        "p, k, match",
+        [
+            ([np.nan, np.nan], None, "entries must be finite"),
+            ([np.inf, 0.0], None, "entries must be finite"),
+            ([-np.inf, 1.0], None, "entries must be finite"),
+            ([1.5, -0.5], None, "entries must be finite and >= 0"),
+            ([0.5, 0.5], 3, "a vector of 3 entries"),
+            ([[0.5, 0.5]], None, "must be a vector"),
+            ([0.5, 0.6], None, "must sum to 1"),
+            ([], None, "must sum to 1"),
+            ({"a": 1.0}, None, "must be a vector of numbers"),
+            ("abc", None, "must be a vector of numbers"),
+        ],
+        ids=["nan", "inf", "-inf", "negative", "wrong-length", "matrix", "sum-off", "empty", "dict", "string"],
+    )
+    def test_distribution_rejected(self, p, k, match):
+        with pytest.raises(ValueError, match=match) as exc:
+            check_distribution(p, k, name="mu")
+        assert str(exc.value).startswith("mu ")
+
+    def test_distribution_atol(self):
+        check_distribution([0.5, 0.5 + 1e-10])
+        with pytest.raises(ValueError, match="within 1e-12"):
+            check_distribution([0.5, 0.5 + 1e-10], atol=1e-12)
+
+    @pytest.mark.parametrize("x", [1e-12, 0.01, 5.0])
+    def test_tolerance_accepted(self, x):
+        assert check_tolerance(x, "tol") == x
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_tolerance_rejected(self, x):
+        with pytest.raises(ValueError, match="delta must be finite and > 0"):
+            check_tolerance(x, "delta")
+        if x != 0.0:
+            with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+                check_tolerance(x, "delta", allow_zero=True)
+
+    def test_tolerance_zero_where_allowed(self):
+        assert check_tolerance(0.0, "delta", allow_zero=True) == 0.0
+
+    def test_points_in_blocks_equal_one_draw(self):
+        blocks = list(gaussian_points(3, 1000, 5, 333))
+        assert [b.shape for b in blocks] == [(333, 3)] * 3 + [(1, 3)]
+        (one,) = gaussian_points(3, 1000, 5, 1000)
+        assert np.array_equal(np.concatenate(blocks), one)
+        assert np.array_equal(one, gaussian_rng(5).standard_normal((1000, 3)))
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_points_need_a_sample(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            gaussian_points(2, samples, 0, 100)
+
+
+def _distribution_entry_points():
+    from gstab.product_space import JointDist, binary_symmetric
+    from gstab.rounding import find_matching_threshold
+    from gstab.search import SearchConfig, ncd_brute_oracle, ncd_decide
+
+    P = binary_symmetric(0.5)
+    uniform = lambda X: np.full((X.shape[0], 2), 0.5)  # noqa: E731
+    return {
+        "find_matching_threshold": lambda p: find_matching_threshold(uniform, p, 0.01, 100, 0, 1),
+        "SearchConfig": lambda p: SearchConfig(
+            k=2, n0=1, d=1, t=0.5, target_mu=p, measure_tol=0.05, budget=5
+        ),
+        "ncd_decide_mu": lambda p: ncd_decide(P, p, [0.5, 0.5], 0.75, 0.02),
+        "ncd_decide_nu": lambda p: ncd_decide(P, [0.5, 0.5], p, 0.75, 0.02),
+        "ncd_brute_oracle": lambda p: ncd_brute_oracle(P, p, [0.5, 0.5], 2, 1, 0.02),
+        "JointDist": lambda p: JointDist(np.reshape(p, (1, -1))),
+    }
+
+
+_BAD_DISTRIBUTIONS = {
+    "nan": [np.nan, np.nan],
+    "negative": [1.5, -0.5],
+    "sum-off": [0.5, 0.6],
+    "short": [1.0],
+    "long": [0.2, 0.3, 0.5],
+}
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        (entry, bad)
+        for entry in sorted(_distribution_entry_points())
+        for bad in _BAD_DISTRIBUTIONS
+        # a joint law has no fixed length to miss
+        if not (entry == "JointDist" and bad in ("short", "long"))
+    ],
+)
+def test_every_distribution_input_is_checked(entry, bad):
+    p = _BAD_DISTRIBUTIONS[bad]
+    with pytest.raises(ValueError, match="must be a vector|entries must be finite|must sum to 1"):
+        _distribution_entry_points()[entry](p)
+
+
+def _tolerance_entry_points():
+    from gstab.partitions import Halfspace
+    from gstab.product_space import binary_symmetric
+    from gstab.rounding import find_matching_threshold, stability_of_rounding
+    from gstab.search import SearchConfig, ncd_brute_oracle, ncd_decide
+
+    P = binary_symmetric(0.5)
+    uniform = lambda X: np.full((X.shape[0], 2), 0.5)  # noqa: E731
+    return {
+        "find_matching_threshold": lambda x: find_matching_threshold(uniform, [0.5, 0.5], x, 100, 0, 1),
+        "stability_of_rounding": lambda x: stability_of_rounding(Halfspace([0.0], [1.0]), 0.5, tol=x, samples=100),
+        "SearchConfig": lambda x: SearchConfig(
+            k=2, n0=1, d=1, t=0.5, target_mu=[0.5, 0.5], measure_tol=x, budget=5
+        ),
+        "ncd_decide": lambda x: ncd_decide(P, [0.5, 0.5], [0.5, 0.5], 0.75, x),
+        "ncd_brute_oracle": lambda x: ncd_brute_oracle(P, [0.5, 0.5], [0.5, 0.5], 2, 1, x),
+    }
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(_tolerance_entry_points()))
+def test_every_tolerance_input_is_checked(entry, x):
+    if entry == "ncd_brute_oracle" and x == 0.0:
+        # delta = 0 asks the oracle for the target marginals exactly
+        assert _tolerance_entry_points()[entry](x) == pytest.approx(0.75)  # (1 + rho) / 2
+        return
+    with pytest.raises(ValueError, match="must be finite and >=? 0"):
+        _tolerance_entry_points()[entry](x)
+
+
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+def test_ncd_kappa_must_be_finite(kappa):
+    from gstab.product_space import binary_symmetric
+    from gstab.search import ncd_decide
+
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        ncd_decide(binary_symmetric(0.5), [0.5, 0.5], [0.5, 0.5], kappa, 0.02)
+
+
+def test_single_block_draws_need_a_sample():
+    from gstab.partitions import equal_slabs
+    from gstab.rounding import find_matching_threshold, ptf_from_truncation
+
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        find_matching_threshold(lambda X: np.full((X.shape[0], 2), 0.5), [0.5, 0.5], 0.01, 0, 0, 1)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        ptf_from_truncation(equal_slabs(3), 2, samples=0)

@@ -9,7 +9,9 @@ helpers were shared, so a refactor that reorders draws, changes a stream
 index or splits blocks differently fails here.  The "rounding" entries
 that follow the threshold matcher (the rounded stability, the cross term,
 the rounded measures, their SE and z) were re-recorded when the matcher
-became exact quantile sweeps; its unrounded entries did not move.
+became exact quantile sweeps; its unrounded entries did not move.  The
+"threshold" entry was recorded at commit ad3feee, before the point draws
+were shared.
 """
 import math
 
@@ -36,7 +38,12 @@ from gstab.partitions import (
     estimate_stability,
 )
 from gstab.product_space import JointDist, block_strategy, correlation_basis, estimate_discrete_corr
-from gstab.rounding import ptf_from_truncation, stability_of_rounding
+from gstab.rounding import (
+    find_matching_threshold,
+    ptf_from_truncation,
+    smoothed_partition_values,
+    stability_of_rounding,
+)
 from gstab.search import SearchConfig, optimize_stability
 from gstab.tensors import SymmetricTensor, ito_eval_many, symmetrize
 
@@ -148,6 +155,18 @@ def _rounding():
     }
 
 
+def _threshold():
+    f = equal_slabs(3, axis=0, n=2)
+    search = find_matching_threshold(
+        lambda X: smoothed_partition_values(f, 0.5, X), [0.25, 0.35, 0.4], 1e-3, 3000, 14, 2
+    )
+    return {
+        "z": search.z.z.tolist(),
+        "measures": [_count(v, 3000) for v in search.measures],
+        "iterations": search.iterations,
+    }
+
+
 def _truncation():
     rep = ptf_from_truncation(equal_slabs(3), 3, samples=4000, seed=11)
     return {
@@ -220,6 +239,7 @@ CASES = {
     "joint_sample": _joint_sample,
     "discrete_corr": _discrete_corr,
     "rounding": _rounding,
+    "threshold": _threshold,
     "truncation": _truncation,
     "grid_feasible": _grid_feasible,
     "grid_fallback": _grid_fallback,
@@ -316,6 +336,11 @@ EXPECTED = {
     "stability": {
         "hits": [3587, 1339, 2838],
         "se": [0.006367687806417647, 0.006262318420521268, 0.007006143589736082],
+    },
+    "threshold": {
+        "iterations": 3,
+        "measures": [750, 1050, 1200],
+        "z": [0.18402486270609, 0.04926330847383373, 0.0],
     },
     "truncation": {
         "hits": [1611, 2312],
