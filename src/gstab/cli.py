@@ -21,7 +21,10 @@ that names them: a NaN or negative --t; a NaN rho or one outside
 finite and > 0; a NaN or infinite --kappa; a distribution (--mu, --nu, a
 config's target_mu, the rows of a --dist file) with a non-numeric,
 non-finite or negative entry, the wrong number of entries, or a sum away
-from 1; and --samples below 1.
+from 1; --samples below 1; an --n-max or --oracle-n below 1 (--oracle-n 0,
+the default, runs no oracle); a search config with an unknown or a
+missing field; and a partition file with a non-finite halfspace vector
+or slab breakpoint.
 """
 from __future__ import annotations
 

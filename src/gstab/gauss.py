@@ -1,6 +1,7 @@
 """
 Gaussian-space primitives: orthonormal Hermite polynomials, Gauss-Hermite
-quadrature for the standard normal weight, and seeded correlated samplers.
+quadrature for the standard normal weight, the bivariate normal law, and
+seeded correlated samplers.
 
 Conventions
 -----------
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import ndtr, owens_t
 
 __all__ = [
     "QuadratureRule",
@@ -41,6 +43,7 @@ __all__ = [
     "gauss_hermite_rule",
     "tensor_grid",
     "contract_axes",
+    "bvn_cdf",
     "gaussian_rng",
     "batch_sizes",
     "binomial_se",
@@ -206,6 +209,26 @@ def contract_axes(table: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
         # passes the layout is (k, s_1..s_n)
         out = np.tensordot(out, B, axes=([0], [0]))
     return np.moveaxis(out, 0, -1)
+
+
+def bvn_cdf(h, k, rho: float) -> np.ndarray:
+    """Pr[X <= h, Y <= k] for rho-correlated standard normals, over h and k
+    broadcast together, ends infinite or not.  Owen's (1956) closed form:
+    the sum over (x, y) = (h, k), (k, h) of Phi(x)/2 - T(x, (y - rho x) /
+    (x sqrt(1 - rho^2))), with T(0, +-inf) = +-1/4, less 1/2 where h and k
+    straddle 0; Sheppard's 1/4 + asin(rho)/(2 pi) at h = k = 0, and the
+    limits Phi(min(h, k)) at rho = 1, max(Phi(h) + Phi(k) - 1, 0) at -1."""
+    check_rho(rho)
+    h, k = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(k, dtype=float))
+    if abs(rho) == 1.0:
+        return ndtr(np.minimum(h, k)) if rho > 0 else np.maximum(ndtr(h) - ndtr(-k), 0.0)
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 and inf/inf only where replaced below
+        share = [0.5 * ndtr(x) - owens_t(x, (y - rho * x) / (np.where(x == 0, 0.0, x) * s))
+                 for x, y in ((h, k), (k, h))]
+    out = share[0] + share[1] - 0.5 * ((h < 0) != (k < 0))
+    out = np.where((h == 0) & (k == 0), 0.25 + math.asin(rho) / (2.0 * math.pi), out)
+    return np.where(np.isinf(h) | np.isinf(k), ndtr(np.minimum(h, k)), out)
 
 
 @dataclass(frozen=True)

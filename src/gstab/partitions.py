@@ -1,6 +1,6 @@
 """
-k-ary partitions of Gaussian space and Monte Carlo / quadrature estimation
-of their cell measures and noise stability.
+k-ary partitions of Gaussian space, Monte Carlo estimation of their cell
+measures and noise stability, and exact joint cells of interval partitions.
 
 Partition variants: halfspaces, one-dimensional slab arrangements,
 multivariate polynomial threshold functions (PTFs), sign-pattern tables,
@@ -35,10 +35,9 @@ from .gauss import (
     MAX_QUADRATURE_DIM,
     CorrelatedSampler,
     binomial_se,
-    check_rho,
+    bvn_cdf,
     contract_axes,
     coupling,
-    gauss_hermite_rule,
     gaussian_points,
     hermite_table,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "collision_probability",
     "balance",
     "sheppard_orthant",
-    "orthant_probability_quad",
     "quad_joint_cells_1d",
     "IntervalForm",
     "interval_form",
@@ -129,6 +127,8 @@ class Halfspace(PartitionFn):
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
         if self.a.shape != self.b.shape:
             raise ValueError("a and b must have the same dimension")
+        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
+            raise ValueError("halfspace a and b must be finite")
         if not np.any(self.b != 0.0):
             raise ValueError("normal vector must be nonzero")
         self.n = self.a.shape[0]
@@ -157,6 +157,8 @@ class Slabs(PartitionFn):
     def __init__(self, axis: int, breakpoints, labels=None, n: int | None = None, k: int | None = None):
         self.axis = int(axis)
         self.breakpoints = np.atleast_1d(np.asarray(breakpoints, dtype=float))
+        if not np.all(np.isfinite(self.breakpoints)):
+            raise ValueError("breakpoints must be finite")
         if np.any(np.diff(self.breakpoints) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         if labels is None:
@@ -578,56 +580,27 @@ def exact_expansion(f: PartitionFn, max_degree: int):
 
 
 # ---------------------------------------------------------------------------
-# Quadrature oracles
+# Exact joint cells: the bivariate normal law on interval partitions
 
 
 def sheppard_orthant(rho: float) -> float:
     """Pr[X <= 0, Y <= 0] for rho-correlated standard normals."""
-    check_rho(rho)
-    return 0.25 + math.asin(rho) / (2.0 * math.pi)
+    return float(bvn_cdf(0.0, 0.0, rho))
 
 
-def orthant_probability_quad(rho: float, order: int = 80) -> float:
-    """Gauss-Hermite value of the orthant integral Pr[X <= 0, Y <= 0].
-
-    Uses the shared-factor coupling X = sqrt(rho) W + sqrt(1-rho) U,
-    Y = sqrt(rho) W + sqrt(1-rho) V, under which the integrand
-    Phi(-sqrt(rho) w / sqrt(1-rho))^2 is smooth, so the rule converges to
-    machine precision.  Requires 0 <= rho < 1.
-    """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"the shared-factor coupling needs rho in [0, 1), got {rho}")
-    if rho == 0.0:
-        return 0.25
-    rule = gauss_hermite_rule(order)
-    c = math.sqrt(rho) / math.sqrt(1.0 - rho)
-    vals = ndtr(-c * rule.nodes) ** 2
-    return float(np.dot(rule.weights, vals))
-
-
-def quad_joint_cells_1d(f: PartitionFn, rho: float, order: int = 80) -> np.ndarray:
-    """Exact-quadrature joint cell matrix J[i, j] = Pr[f(X)=i+1, f(Y)=j+1]
-    for partitions with an interval structure (slabs, halfspaces, 1-D
-    PTFs).
-
-    Same shared-factor trick as the orthant oracle: conditionally on the
-    common factor W the two cell-membership probabilities are independent
-    smooth functions of w.  trace(J) is the agreement stability.
-    """
+def quad_joint_cells_1d(f: PartitionFn, rho: float) -> np.ndarray:
+    """Exact joint cell matrix J[i, j] = Pr[f(X)=i+1, f(Y)=j+1] of an
+    interval-structured partition (slabs, halfspaces, 1-D PTFs) at any rho:
+    X and Y project to rho-correlated normals on the structure direction,
+    so each pair of intervals holds a rectangle of bvn_cdf on the edge
+    grid.  trace(J) is the agreement stability."""
     form = interval_form(f)
     if form is None:
-        raise ValueError("quadrature oracle needs an interval-structured partition")
-    slab = form.projected()
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"the shared-factor coupling needs rho in [0, 1), got {rho}")
-    if rho == 0.0:
-        p = slab.cell_probs(np.zeros(1), 1.0)[0]
-        return np.outer(p, p)
-    rule = gauss_hermite_rule(order)
-    loc = math.sqrt(rho) * rule.nodes
-    scale = math.sqrt(1.0 - rho)
-    probs = slab.cell_probs(loc, scale)  # (order, k)
-    return np.einsum("w,wi,wj->ij", rule.weights, probs, probs)
+        raise ValueError("joint cells need an interval-structured partition")
+    edges = np.concatenate(([-np.inf], form.breakpoints, [np.inf]))
+    rect = np.diff(np.diff(bvn_cdf(edges[:, None], edges[None, :], rho), axis=0), axis=1)
+    onehot = np.eye(f.k)[form.labels - 1]
+    return onehot.T @ rect @ onehot
 
 
 # ---------------------------------------------------------------------------

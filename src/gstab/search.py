@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -95,7 +95,19 @@ class SearchConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SearchConfig":
-        return cls(**json.loads(text))
+        """The config in a JSON object; raises ValueError naming any
+        unknown field and any missing required field."""
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("search config must be a JSON object")
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        missing = sorted(required - set(doc))
+        problems = [f"{what} fields {', '.join(names)}"
+                    for what, names in (("unknown", unknown), ("missing", missing)) if names]
+        if problems:
+            raise ValueError(f"search config has {' and '.join(problems)}")
+        return cls(**doc)
 
 
 @dataclass
@@ -498,6 +510,8 @@ def ncd_brute_oracle(P: JointDist, mu, nu, k: int, n: int, delta: float) -> floa
     mu = check_distribution(mu, k, name="mu")
     nu = check_distribution(nu, k, name="nu")
     check_tolerance(delta, "delta", allow_zero=True)
+    if n < 1:
+        raise ValueError(f"word length n must be >= 1, got {n}")
     best = 0.0
     for _, _, agree in _ncd_tables(P, mu, nu, k, n, delta):
         best = max(best, float(agree.max()))
@@ -532,6 +546,8 @@ def ncd_decide(
     check_tolerance(delta, "delta")
     if not math.isfinite(kappa):  # any finite kappa: one past 1 + delta is never met
         raise ValueError(f"kappa must be finite, got {kappa}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     k = mu.shape[0]
     best_val = 0.0  # agreement over an empty feasible set, as in the oracle
     best_se = 0.0  # exact sums carry no sampling error

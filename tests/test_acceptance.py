@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
+from quad_oracles import orthant_probability_quad
 from gstab.chaos import (
     GramSpec,
     PolyGauss,
@@ -40,7 +41,6 @@ from gstab.partitions import (
     Slabs,
     estimate_cell_stability,
     estimate_stability,
-    orthant_probability_quad,
     sheppard_orthant,
 )
 from gstab.product_space import (

@@ -474,12 +474,26 @@ class TestExitCodes:
             (["basis", "--dist", "{nan_dist}"], "source P entries must be finite and >= 0"),
             (["simulate", "--dist", "{nan_dist}", "--partition", "{half}", "--samples", "1000"],
              "source P entries must be finite and >= 0"),
+            (_ncd_argv() + ["--oracle-n", "-1"], "word length n must be >= 1, got -1"),
+            (_ncd_argv() + ["--n-max", "0"], "n_max must be >= 1, got 0"),
+            (_ncd_argv() + ["--n-max", "-1"], "n_max must be >= 1, got -1"),
+            (["search", "--config", "{cfg_short}"],
+             "search config has missing fields budget, d, measure_tol, t, target_mu"),
+            (["search", "--config", "{cfg_extra}"], "search config has unknown fields sample"),
+            (["search", "--config", "{cfg_both}"],
+             "search config has unknown fields seeds and missing fields budget"),
+            (["search", "--config", "{cfg_list}"], "search config must be a JSON object"),
+            (["stability", "--partition", "{nan_half}", "--rho", "0.5"], "halfspace a and b must be finite"),
+            (["stability", "--partition", "{inf_slabs}", "--rho", "0.5"], "breakpoints must be finite"),
         ],
         ids=[
             "ncd-nan-source", "ncd-negative-mu", "ncd-nan-mu", "ncd-empty-mu", "ncd-dict-mu", "ncd-short-nu",
             "ncd-nu-sum", "ncd-nan-delta", "ncd-nan-kappa", "round-negative-tol",
             "round-nan-tol", "round-zero-tol", "search-nan-target", "search-negative-target",
-            "search-nan-tol", "basis-nan-source", "simulate-nan-source",
+            "search-nan-tol", "basis-nan-source", "simulate-nan-source", "ncd-negative-oracle-n",
+            "ncd-zero-n-max", "ncd-negative-n-max", "search-missing-fields", "search-unknown-field",
+            "search-unknown-and-missing", "search-not-an-object", "stability-nan-halfspace",
+            "stability-inf-breakpoint",
         ],
     )
     def test_bad_input_is_usage_error(self, argv, named, halfspace_file, dist_file, tmp_path, capsys):
@@ -495,9 +509,26 @@ class TestExitCodes:
         ]:
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps({**search, key: value}))
+        unbudgeted = {key: value for key, value in search.items() if key != "budget"}
+        for name, text in [
+            ("cfg_short", json.dumps({"k": 2, "n0": 1})),
+            ("cfg_extra", json.dumps({**search, "sample": 1})),
+            ("cfg_both", json.dumps({**unbudgeted, "seeds": [1]})),
+            ("cfg_list", "[2, 1]"),
+            ("nan_half", '{"kind": "halfspace", "k": 2, "n": 1, "payload": {"a": [0.0], "b": [NaN]}}'),
+            ("inf_slabs", '{"kind": "slabs", "k": 2, "n": 1, "payload": {"axis": 0, '
+                          '"breakpoints": [-0.5, Infinity], "labels": [1, 2, 1], "n": 1, "k": 2}}'),
+        ]:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text)
         code = cli_dispatch([a.format(**paths) for a in argv])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {named}")
+
+    def test_ncd_oracle_n_zero_runs_no_oracle(self, dist_file, capsys):
+        code, out = run_cli([a.format(bss=dist_file) for a in _ncd_argv()] + ["--oracle-n", "0"], capsys)
+        assert code == 0
+        assert "oracle" not in json.loads(out)["result"]
 
     def test_borell_check_needs_nonnegative_rho(self, capsys):
         assert cli_dispatch(["borell-check", "--rho", "-0.5"]) == 2

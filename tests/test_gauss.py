@@ -1,14 +1,19 @@
-"""Hermite primitives, quadrature, and the correlated sampler."""
+"""Hermite primitives, quadrature, the bivariate normal law, and the
+correlated sampler."""
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import ndtr
 
 from gstab.gauss import (
     CorrelatedSampler,
     HermiteIndex,
     QuadratureRule,
     batch_sizes,
+    bvn_cdf,
     check_distribution,
     check_rho,
     check_tolerance,
@@ -219,6 +224,7 @@ class TestRhoRule:
             lambda: cube_stability_bruteforce(make_voting_rule("majority", 3, 2), rho),
             lambda: binary_symmetric(rho),
             lambda: sheppard_orthant(rho),
+            lambda: bvn_cdf(0.0, 0.0, rho),
             lambda: estimate_stability(Halfspace([0.0], [1.0]), None, 100, 0, rho=rho),
         ):
             with pytest.raises(ValueError):
@@ -237,13 +243,78 @@ class TestRhoRule:
         assert est.value == pytest.approx(1 - np.arccos(-0.5) / np.pi, abs=5 * est.std_error)
 
     @pytest.mark.parametrize("rho", [-0.5, 1.0])
-    def test_coupling_oracles_keep_their_range(self, rho):
-        from gstab.partitions import Halfspace, orthant_probability_quad, quad_joint_cells_1d
+    def test_joint_cells_take_every_rho(self, rho):
+        from gstab.partitions import Halfspace, Slabs, quad_joint_cells_1d
 
-        with pytest.raises(ValueError, match="shared-factor coupling"):
-            orthant_probability_quad(rho)
-        with pytest.raises(ValueError, match="shared-factor coupling"):
-            quad_joint_cells_1d(Halfspace([0.0], [1.0]), rho)
+        J = quad_joint_cells_1d(Halfspace([0.0], [1.0]), rho)
+        assert J[0, 0] == pytest.approx({-0.5: 1 / 6, 1.0: 1 / 2}[rho], abs=1e-15)
+        if rho == 1.0:  # Y = X: both points always share their cell
+            f = Slabs(0, [-0.4, 0.3, 1.1], [2, 1, 3, 1], k=3)
+            mu = f.cell_probs(np.zeros(1), 1.0)[0]
+            np.testing.assert_allclose(quad_joint_cells_1d(f, rho), np.diag(mu), rtol=0, atol=1e-15)
+
+
+class TestBvnCdf:
+    """Pr[X <= h, Y <= k] in Owen's closed form, against adaptive
+    quadrature, Sheppard's orthant value and the rho = +-1 limits."""
+
+    @staticmethod
+    def rectangle_quad(a, b, rho):
+        """Pr[a0 < X <= b0, a1 < Y <= b1] by adaptive quad over x of
+        phi(x) Pr[a1 < Y <= b1 | X = x]."""
+        s = math.sqrt(1.0 - rho * rho)
+
+        def integrand(x):
+            return math.exp(-x * x / 2) / math.sqrt(2 * math.pi) * (
+                ndtr((b[1] - rho * x) / s) - ndtr((a[1] - rho * x) / s)
+            )
+
+        return quad(integrand, a[0], b[0], epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+    @pytest.mark.parametrize("rho", [-0.99, -0.5, 0.0, 0.3, 0.6, 0.92, 0.99])
+    def test_rectangles_match_adaptive_quad(self, rho):
+        rng = np.random.default_rng(int(1000 * (rho + 1)))
+        for _ in range(12):
+            a = np.sort(rng.normal(0.0, 1.5, (2, 2)), axis=0)
+            ends = rng.random((2, 2)) < 0.3  # some ends at -inf below, +inf above
+            lo = np.where(ends[0], -np.inf, a[0])
+            hi = np.where(ends[1], np.inf, a[1])
+            C = bvn_cdf([[hi[0]], [lo[0]]], [[hi[1], lo[1]]], rho)
+            value = C[0, 0] - C[0, 1] - C[1, 0] + C[1, 1]
+            assert value == pytest.approx(self.rectangle_quad(lo, hi, rho), abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [-0.99, -0.5, 0.0, 0.3, 0.6, 0.92, 0.99])
+    def test_cdf_on_axes_and_ends_matches_adaptive_quad(self, rho):
+        for h, k in [(0.0, 0.7), (-0.0, -1.3), (1.1, 0.0), (-2.0, 0.0), (2.5, -0.4), (-3.0, -3.5)]:
+            want = self.rectangle_quad((-np.inf, -np.inf), (h, k), rho)
+            assert float(bvn_cdf(h, k, rho)) == pytest.approx(want, abs=1e-12)
+        for x in (-1.7, 0.0, 0.4):
+            assert bvn_cdf(np.inf, x, rho) == ndtr(x) == bvn_cdf(x, np.inf, rho)
+            assert bvn_cdf(-np.inf, x, rho) == 0.0 == bvn_cdf(x, -np.inf, rho)
+        assert bvn_cdf(np.inf, np.inf, rho) == 1.0
+
+    @pytest.mark.parametrize("rho", np.linspace(-0.99, 0.99, 23))
+    def test_origin_is_sheppard(self, rho):
+        value = float(bvn_cdf(0.0, 0.0, rho))
+        assert value == pytest.approx(0.25 + math.asin(rho) / (2 * math.pi), abs=1e-15)
+
+    def test_unit_rho_limits(self):
+        x = np.array([-np.inf, -2.0, -0.3, 0.0, 0.3, 1.5, np.inf])
+        h, k = np.meshgrid(x, x, indexing="ij")
+        np.testing.assert_array_equal(bvn_cdf(h, k, 1.0), ndtr(np.minimum(h, k)))
+        # the reference's own sum rounds to within an ulp of 1
+        np.testing.assert_allclose(
+            bvn_cdf(h, k, -1.0), np.maximum(ndtr(h) + ndtr(k) - 1.0, 0.0), rtol=0, atol=2.3e-16
+        )
+        # the closed form runs into the limits: O(sqrt(1 - |rho|)) away
+        for rho in (1.0, -1.0):
+            near = bvn_cdf(h, k, rho * (1.0 - 1e-10))
+            np.testing.assert_allclose(near, bvn_cdf(h, k, rho), rtol=0, atol=1e-4)
+
+    def test_broadcasts(self):
+        C = bvn_cdf(np.zeros((3, 1)), np.zeros((1, 4)), 0.5)
+        assert C.shape == (3, 4)
+        assert np.all(C == 0.25 + math.asin(0.5) / (2 * math.pi))
 
 
 class TestCoupling:

@@ -1,11 +1,14 @@
-"""Partition representations, estimators, and quadrature oracles."""
+"""Partition representations, estimators, and exact joint cells."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from conftest import balanced_two_part, random_partition, random_quadratic_poly
+from quad_oracles import orthant_probability_quad
 from gstab.chaos import PolyGauss
 from gstab.partitions import (
     Callback,
@@ -22,7 +25,6 @@ from gstab.partitions import (
     estimate_cross_stability,
     estimate_measures,
     estimate_stability,
-    orthant_probability_quad,
     partition_from_json,
     partition_to_json,
     interval_form,
@@ -74,6 +76,15 @@ class TestEvalPartition:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             Halfspace([0.0], [1.0]).label([1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_refused(self, bad):
+        with pytest.raises(ValueError, match="halfspace a and b must be finite"):
+            Halfspace([0.0, bad], [1.0, 0.0])
+        with pytest.raises(ValueError, match="halfspace a and b must be finite"):
+            Halfspace([0.0], [bad])
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            Slabs(0, [-0.5, bad], [1, 2, 1], k=2)
 
     def test_halfspace_through_origin_labels_bit_for_bit(self, rng):
         for n in (1, 2, 3):
@@ -255,6 +266,36 @@ class TestQuadOracles:
         J = quad_joint_cells_1d(f, 0.5)
         est = estimate_stability(f, None, 300_000, 19, rho=0.5)
         assert est.value == pytest.approx(np.trace(J), abs=4 * est.std_error)
+
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.5, 0.92, 0.99])
+    def test_every_halfspace_is_sheppard(self, rho):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3):
+            f = Halfspace(np.zeros(n), rng.standard_normal(n))
+            agreement = float(np.trace(quad_joint_cells_1d(f, rho)))
+            assert agreement == pytest.approx(0.5 + math.asin(rho) / math.pi, abs=1e-15)
+
+    @pytest.mark.parametrize("rho", [-0.7, 0.3, 0.99])
+    def test_joint_cells_are_a_coupling_of_the_measures(self, rng, rho):
+        for f in (random_balanced_slabs(rng, k=3, pieces=3), balanced_two_part(rng)):
+            J = quad_joint_cells_1d(f, rho)
+            form = interval_form(f)
+            mu = form.cell_probs(np.zeros(1), 1.0)[0]
+            np.testing.assert_allclose(J, J.T, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(J.sum(axis=1), mu, rtol=0, atol=1e-15)
+            assert J.min() >= -1e-16
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        k=st.integers(2, 4),
+        pieces=st.integers(1, 3),
+        rho=st.floats(-0.99, 0.99),
+        seed=st.integers(0, 2**31),
+    )
+    def test_trace_matches_seeded_monte_carlo(self, k, pieces, rho, seed):
+        f = random_balanced_slabs(np.random.default_rng(seed), k=k, pieces=pieces, n=2, axis=1)
+        est = estimate_stability(f, None, 40_000, seed, rho=rho)
+        assert np.trace(quad_joint_cells_1d(f, rho)) == pytest.approx(est.value, abs=5 * est.std_error)
 
 
 def _ptf(n):

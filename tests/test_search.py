@@ -343,6 +343,11 @@ class TestNcdOracle:
         assert v1 == pytest.approx(0.75)
         assert v2 == pytest.approx(0.75)
 
+    def test_zero_word_length_refused(self):
+        # the CLI reads --oracle-n 0 as "no oracle", so only here is n = 0 reached
+        with pytest.raises(ValueError, match="word length n must be >= 1, got 0"):
+            ncd_brute_oracle(binary_symmetric(0.5), [0.5, 0.5], [0.5, 0.5], 2, 0, 0.0)
+
 
 class TestNcdDecide:
     def test_diagonal_feasible_identity(self):
