@@ -65,6 +65,8 @@ class PolyGauss:
                 raise ValueError(f"component at key {q} has order {t.order}")
             if t.dim != self.n:
                 raise ValueError("component dimension differs from n")
+        if not (math.isfinite(self.constant) and all(np.all(np.isfinite(t.array)) for t in self.chaos.values())):
+            raise ValueError("polynomial constant and chaos entries must be finite")
 
     @property
     def degree(self) -> int:

@@ -23,8 +23,8 @@ config's target_mu, the rows of a --dist file) with a non-numeric,
 non-finite or negative entry, the wrong number of entries, or a sum away
 from 1; --samples below 1; an --n-max or --oracle-n below 1 (--oracle-n 0,
 the default, runs no oracle); a search config with an unknown or a
-missing field; and a partition file with a non-finite halfspace vector
-or slab breakpoint.
+missing field; and a partition file with a non-finite halfspace vector,
+slab breakpoint or PTF polynomial constant or chaos entry.
 """
 from __future__ import annotations
 

@@ -197,17 +197,18 @@ def tensor_grid(rule: QuadratureRule, n: int) -> tuple[np.ndarray, np.ndarray]:
     return points, weights.reshape(-1)
 
 
-def contract_axes(table: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
-    """out[s_1..s_n, :] = sum_x table[x_1..x_n, :] prod_i B[x_i, s_i].
+def contract_axes(table: np.ndarray, B, n: int) -> np.ndarray:
+    """out[s_1..s_n, :] = sum_x table[x_1..x_n, :] prod_i B_i[x_i, s_i].
 
-    ``table`` has shape (m,)*n + (k,) and B shape (m, r); the n leading
-    axes are contracted one at a time, at cost about n m^n r k.
+    ``table`` has shape (m_1..m_n) + (k,); B is one (m, r) matrix for
+    every axis or a list of n matrices, B_i of shape (m_i, r_i).  The n
+    leading axes are contracted one at a time, at cost about n m^n r k.
     """
     out = table
-    for _ in range(n):
+    for Bi in B if isinstance(B, list) else [B] * n:
         # contracting axis 0 each time appends s_i last, so after n
         # passes the layout is (k, s_1..s_n)
-        out = np.tensordot(out, B, axes=([0], [0]))
+        out = np.tensordot(out, Bi, axes=([0], [0]))
     return np.moveaxis(out, 0, -1)
 
 

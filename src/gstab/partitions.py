@@ -1,6 +1,8 @@
 """
 k-ary partitions of Gaussian space, Monte Carlo estimation of their cell
-measures and noise stability, and exact joint cells of interval partitions.
+measures and noise stability, and the one cell grid (CellGrid) of interval
+partitions and sign tables, whose three per-axis kernels give their exact
+smoothing, Hermite expansion and joint cells.
 
 Partition variants: halfspaces, one-dimensional slab arrangements,
 multivariate polynomial threshold functions (PTFs), sign-pattern tables,
@@ -61,8 +63,8 @@ __all__ = [
     "balance",
     "sheppard_orthant",
     "quad_joint_cells_1d",
-    "IntervalForm",
-    "interval_form",
+    "CellGrid",
+    "cell_grid",
     "route",
     "exact_expansion",
     "partition_to_json",
@@ -177,18 +179,6 @@ class Slabs(PartitionFn):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         idx = np.searchsorted(self.breakpoints, X[:, self.axis], side="left")
         return self.interval_labels[idx]
-
-    def cell_probs(self, loc, scale: float) -> np.ndarray:
-        """Pr[label = j] for the coordinate ~ N(loc, scale^2); loc may be
-        an array, in which case the result has shape loc.shape + (k,)."""
-        loc = np.asarray(loc, dtype=float)
-        edges = np.concatenate(([-np.inf], self.breakpoints, [np.inf]))
-        cdf = ndtr((edges - loc[..., None]) / scale)
-        seg = np.diff(cdf, axis=-1)
-        out = np.zeros(loc.shape + (self.k,))
-        for j, lab in enumerate(self.interval_labels):
-            out[..., lab - 1] += seg[..., j]
-        return out
 
     def payload(self) -> dict:
         return {
@@ -395,24 +385,142 @@ def balance(f: MultiPTF, delta: float) -> MultiPTF:
 
 
 # ---------------------------------------------------------------------------
-# Interval structure: exact smoothing and exact Hermite coefficients for
-# partitions that are piecewise constant along one direction
+# Cell grids: partitions that are label tables over a product of intervals,
+# with their exact smoothing, Hermite expansion and joint cells
 
 
-@dataclass
-class IntervalForm:
-    """Partition as labeled intervals of s = <direction, x> (unit norm)."""
+_BLOCK_ENTRIES = 1 << 20  # array entries per block of points in CellGrid.smooth
 
-    direction: np.ndarray
-    breakpoints: np.ndarray
-    labels: np.ndarray
+
+@dataclass(frozen=True)
+class CellGrid:
+    """A partition as a label table over a product of intervals: axis a
+    (row a of ``axes``, orthonormal rows in R^n) is cut at the increasing
+    finite ``cuts[a]`` into intervals (c_{j-1}, c_j], and table axis a runs
+    over them, labels in 1..k.  The projections <axes[a], x> of a standard
+    Gaussian are independent standard normals, so each exact operation
+    contracts the one-hot table with one per-axis kernel of the cuts:
+    interval probabilities, Hermite coefficients or bvn_cdf rectangles.
+    """
+
+    axes: np.ndarray
+    cuts: tuple[np.ndarray, ...]
+    table: np.ndarray
     k: int
 
-    def projected(self) -> Slabs:
-        return Slabs(0, self.breakpoints, self.labels, n=1, k=self.k)
+    @property
+    def coordinate(self) -> bool:
+        """Whether the axes are the n coordinate axes, in order."""
+        n = self.axes.shape[1]
+        return self.axes.shape[0] == n and np.array_equal(self.axes, np.eye(n))
 
-    def cell_probs(self, loc, scale: float) -> np.ndarray:
-        return self.projected().cell_probs(np.asarray(loc, dtype=float), scale)
+    def onehot(self) -> np.ndarray:
+        return np.eye(self.k)[self.table - 1]
+
+    def labels(self, X: np.ndarray) -> np.ndarray:
+        proj = np.einsum("xi,ai->ax", np.atleast_2d(X), self.axes)
+        return self.table[tuple(np.searchsorted(c, s) for c, s in zip(self.cuts, proj))]
+
+    def smooth(self, X: np.ndarray, rho: float, sigma: float) -> np.ndarray:
+        """sum over cells of the one-hot label times prod_a Pr[rho <axes[a],
+        x> + sigma Z_a in the cell's interval], for each row x of X.  With
+        the axes walked last to first (a sign table's bit-pattern order),
+        the table is contracted over the low half of them against products
+        of their interval probabilities, then over the high half point by
+        point, in blocks of about _BLOCK_ENTRIES entries."""
+        low = (len(self.cuts) + 1) // 2
+        hot = self.onehot()
+        hot = hot.transpose(tuple(range(hot.ndim - 2, -1, -1)) + (hot.ndim - 1,))
+        n_high = math.prod(hot.shape[: -low - 1])  # cells over the high axes
+        table = hot.reshape(n_high, -1, self.k)
+        out = np.empty((X.shape[0], self.k))
+        step = max(1, _BLOCK_ENTRIES // (n_high * self.k + table.shape[1]))
+        for lo in range(0, X.shape[0], step):
+            block = X[lo : lo + step]
+            proj = rho * (block.T if self.coordinate else np.einsum("xi,ai->ax", block, self.axes))
+            partial = np.einsum("hlk,lx->hkx", table, _cell_weights(proj, self.cuts, sigma, range(low - 1, -1, -1)))
+            w_high = _cell_weights(proj, self.cuts, sigma, range(len(self.cuts) - 1, low - 1, -1))
+            out[lo : lo + step] = np.einsum("hx,hkx->xk", w_high, partial)
+        return out
+
+    def expansion(self, max_degree: int) -> HermiteExpansion:
+        """Exact Hermite expansion of the one-hot embedding to
+        ``max_degree``.  On the coordinate axes, one contraction of the
+        table with each axis's interval coefficients; on a single other
+        axis u, the chaos of g(<u, x>) spreads each 1-D coefficient over
+        the degree-q rank-one pattern u^S sqrt(q!/prod S_i!)."""
+        n, coordinate = self.axes.shape[1], self.coordinate
+        blocks = [_interval_hermite(c, max_degree) for c in self.cuts]
+        full = contract_axes(self.onehot(), blocks, len(blocks))
+        if not coordinate:
+            (u,) = self.axes
+        indices = degree_indices(n, max_degree)
+        vecs = [full[S] if coordinate else _rank_one_spread(full[sum(S)], u, S) for S in indices]
+        keep = np.linalg.norm(vecs, axis=1) >= 1e-14
+        return HermiteExpansion(n, self.k, max_degree, {S: v for S, v, ok in zip(indices, vecs, keep) if ok})
+
+    def joint_cells(self, rho: float) -> np.ndarray:
+        """J[i, j] = Pr[f(X) = i+1, f(Y) = j+1] for rho-correlated X, Y:
+        per axis, the projections are rho-correlated normals, so the table
+        is contracted with each axis's bvn_cdf rectangles."""
+        hot = self.onehot()
+        rects = [_interval_rectangles(c, rho) for c in self.cuts]
+        moved = contract_axes(hot, rects, len(rects)).reshape(-1, self.k)
+        return moved.T @ hot.reshape(-1, self.k)
+
+
+def _rank_one_spread(c: np.ndarray, u: np.ndarray, S: tuple[int, ...]) -> np.ndarray:
+    """c sqrt(q!/prod S_i!) u^S, q = |S|: the H_S part of c H_q(<u, x>)."""
+    factor = math.sqrt(math.factorial(sum(S)))
+    for s in S:
+        factor /= math.sqrt(math.factorial(s))
+    return c * factor * np.prod([u[i] ** s for i, s in enumerate(S)])
+
+
+def _interval_probs(s: np.ndarray, cuts: np.ndarray, sigma: float) -> np.ndarray:
+    """(m, N) probabilities that s + sigma Z falls in each interval, from
+    the survival function Pr[s + sigma Z > c]: one ndtr per finite cut."""
+    surv = np.empty((cuts.shape[0] + 2, s.shape[0]))
+    surv[0], surv[-1] = 1.0, 0.0
+    inner = surv[1:-1]
+    np.subtract(s, cuts[:, None], out=inner)
+    inner /= sigma
+    ndtr(inner, out=inner)
+    return surv[:-1] - surv[1:]
+
+
+def _cell_weights(proj: np.ndarray, cuts, sigma: float, axes) -> np.ndarray:
+    """(prod m_a, N) products over ``axes`` of the interval probabilities
+    of rows proj[a] of the (A, N) projections, rows in C order over
+    ``axes`` (the first one slowest), made one axis at a time."""
+    w = None
+    for a in axes:
+        p = _interval_probs(proj[a], cuts[a], sigma)
+        w = p if w is None else (w[:, None, :] * p[None, :, :]).reshape(-1, p.shape[1])
+    return np.ones((1, proj.shape[1])) if w is None else w
+
+
+def _interval_hermite(cuts: np.ndarray, max_degree: int) -> np.ndarray:
+    """(m, max_degree + 1) exact Hermite coefficients E[1_(a,b] H_q] of
+    the intervals cut at ``cuts``: Phi(b) - Phi(a) at q = 0 and, from
+    d/dx [H_{q-1}(x) phi(x)] = -sqrt(q) H_q(x) phi(x),
+    (H_{q-1} phi)(a) - (H_{q-1} phi)(b) over sqrt(q), zero at infinite ends."""
+    at = np.zeros((cuts.shape[0] + 2, max_degree + 1))  # Phi, then H_{q-1} phi, at the edges
+    at[-1, 0] = 1.0
+    at[1:-1, 0] = ndtr(cuts)
+    phi = np.exp(-cuts * cuts / 2) / math.sqrt(2 * math.pi)
+    at[1:-1, 1:] = (hermite_table(max_degree, cuts)[:max_degree] * phi).T
+    out = at[:-1] - at[1:]
+    out[:, 0] *= -1.0
+    out[:, 1:] /= np.sqrt(np.arange(1, max_degree + 1))
+    return out
+
+
+def _interval_rectangles(cuts: np.ndarray, rho: float) -> np.ndarray:
+    """(m, m) Pr[X in interval i, Y in interval j] for rho-correlated
+    standard normals: rectangles of bvn_cdf on the edge grid."""
+    edges = np.concatenate(([-np.inf], cuts, [np.inf]))
+    return np.diff(np.diff(bvn_cdf(edges[:, None], edges[None, :], rho), axis=0), axis=1)
 
 
 def _real_roots_1d(p: PolyGauss) -> np.ndarray:
@@ -439,40 +547,36 @@ def _interval_structured(f: PartitionFn) -> bool:
     return isinstance(f, (Slabs, Halfspace)) or (isinstance(f, MultiPTF) and f.n == 1)
 
 
-def interval_form(f: PartitionFn) -> IntervalForm | None:
-    """One-dimensional interval description of f, when one exists.
-
-    Covers slab arrangements, halfspaces in any direction, and
-    one-dimensional PTF partitions (whose cells are bounded by the real
-    roots of the defining polynomials).
+def cell_grid(f: PartitionFn) -> CellGrid | None:
+    """f as a CellGrid, when it is one.  A sign table takes the n
+    coordinate axes, each cut at 0 (axis i = coordinate i).  Slabs,
+    halfspaces and 1-D PTFs take one axis: the slab coordinate, the unit
+    normal cut at <a, b>/|b|, or the line cut at the real roots of the
+    defining polynomials where the label changes.
     """
+    if isinstance(f, Tabulated):
+        # C-order axes of the reshaped table run from bit n-1 down to bit
+        # 0; reverse them so axis i is coordinate i
+        table = f.cube.table.reshape((2,) * f.n).transpose(tuple(range(f.n - 1, -1, -1)))
+        return CellGrid(np.eye(f.n), (np.zeros(1),) * f.n, table, f.k)
     if not _interval_structured(f):
         return None
     if isinstance(f, Slabs):
-        u = np.zeros(f.n)
-        u[f.axis] = 1.0
-        return IntervalForm(u, f.breakpoints.copy(), f.interval_labels.copy(), f.k)
+        return CellGrid(np.eye(f.n)[f.axis : f.axis + 1], (f.breakpoints,), f.interval_labels, f.k)
     if isinstance(f, Halfspace):
         norm = float(np.linalg.norm(f.b))
-        cut = float(np.dot(f.a, f.b)) / norm
-        return IntervalForm(f.b / norm, np.array([cut]), np.array([1, 2]), 2)
-    cuts = np.sort(np.unique(np.concatenate([_real_roots_1d(p) for p in f.polys])))
-    if cuts.size == 0:
-        test_points = np.array([[0.0]])
-    else:
-        mids = (cuts[:-1] + cuts[1:]) / 2 if cuts.size > 1 else np.empty(0)
-        test_points = np.concatenate(
-            ([cuts[0] - 1.0], mids, [cuts[-1] + 1.0])
-        )[:, None]
-    labels = f.labels(test_points)
-    keep_cuts, keep_labels = [], [int(labels[0])]
-    for cut, lab in zip(cuts, labels[1:]):
-        if int(lab) != keep_labels[-1]:
-            keep_cuts.append(cut)
-            keep_labels.append(int(lab))
-    return IntervalForm(
-        np.ones(1), np.asarray(keep_cuts), np.asarray(keep_labels), f.k
-    )
+        return CellGrid((f.b / norm)[None, :], (np.array([float(np.dot(f.a, f.b)) / norm]),), np.array([1, 2]), 2)
+    cuts = np.unique(np.concatenate([_real_roots_1d(p) for p in f.polys]))
+    inside = np.r_[cuts[:1] - 1.0, (cuts[:-1] + cuts[1:]) / 2, cuts[-1:] + 1.0] if cuts.size else np.zeros(1)
+    cuts, labels = _merge_runs(cuts, f.labels(inside[:, None]))
+    return CellGrid(np.ones((1, 1)), (cuts,), labels, f.k)
+
+
+def _merge_runs(cuts: np.ndarray, labels: np.ndarray):
+    """Intervals labelled ``labels``, between consecutive ``cuts``, with
+    the cuts between equal labels dropped: (cuts, labels) of the runs."""
+    change = labels[1:] != labels[:-1]
+    return cuts[change], labels[np.r_[True, change]]
 
 
 MAX_SIGN_TABLE_EXPAND_DIM = 6  # largest n whose sign table expands exactly
@@ -484,15 +588,14 @@ def route(f: PartitionFn, op: str) -> str:
     "expand" (Hermite coefficients of the one-hot embedding by
     exact_expansion, or by hermite.expand on "quadrature").
 
-    "interval": slabs, halfspaces and 1-D PTFs, whose noised point
-    projects to a normal on the structure direction: closed forms for
-    both ops.  "sign-table": orthant cells factor per coordinate;
-    smoothing at any n, the expansion up to MAX_SIGN_TABLE_EXPAND_DIM.
-    "ptf-addition": smoothing a PTF on the tensor rule, its polynomials
-    split by the Hermite addition formula.  "quadrature": f at every
-    node of the tensor rule.  These two converge slowly across cell
-    boundaries and need n <= MAX_QUADRATURE_DIM.  Raises ValueError
-    where no route applies.
+    "interval" (slabs, halfspaces and 1-D PTFs: one axis) and
+    "sign-table" (the n coordinate axes, each cut at 0) run the kernels
+    of cell_grid(f): closed forms for both ops, the sign-table expansion
+    up to MAX_SIGN_TABLE_EXPAND_DIM.  "ptf-addition": smoothing a PTF on
+    the tensor rule, its polynomials split by the Hermite addition
+    formula.  "quadrature": f at every node of the tensor rule.  These
+    two converge slowly across cell boundaries and need
+    n <= MAX_QUADRATURE_DIM.  Raises ValueError where no route applies.
     """
     if op not in ("smooth", "expand"):
         raise ValueError(f"unknown operation {op!r}")
@@ -508,79 +611,20 @@ def route(f: PartitionFn, op: str) -> str:
     return "ptf-addition" if op == "smooth" and isinstance(f, MultiPTF) else "quadrature"
 
 
-def _interval_hermite_coeffs(a: float, b: float, max_degree: int) -> np.ndarray:
-    """Exact 1-D Hermite coefficients of the indicator of (a, b].
-
-    Uses d/dx [H_{q-1}(x) phi(x)] = -sqrt(q) H_q(x) phi(x), so
-    E[1_(a,b] H_q] = (H_{q-1}(a) phi(a) - H_{q-1}(b) phi(b)) / sqrt(q).
-    """
-
-    def weighted_h(x):
-        if np.isinf(x):
-            return np.zeros(max_degree)
-        phi = math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
-        return hermite_table(max_degree - 1, np.array([x]))[:, 0] * phi
-
-    out = np.zeros(max_degree + 1)
-    out[0] = float(ndtr(b) - ndtr(a)) if not (np.isinf(a) and np.isinf(b)) else 1.0
-    if max_degree >= 1:
-        ha = weighted_h(a)
-        hb = weighted_h(b)
-        for q in range(1, max_degree + 1):
-            out[q] = (ha[q - 1] - hb[q - 1]) / math.sqrt(q)
-    return out
-
-
 def exact_expansion(f: PartitionFn, max_degree: int):
     """Exact Hermite expansion of the one-hot embedding of f, on the
-    route that route(f, "expand") names.
-
-    On the interval route, in any dimension, the chaos of g(<u, x>)
-    spreads each 1-D coefficient over the degree-q rank-one pattern
-    u^S sqrt(q!/prod S_i!); on the sign-table route, orthant cells
-    factor into per-coordinate half-lines.  Raises ValueError on the
-    quadrature route and where route raises.
+    route that route(f, "expand") names: CellGrid.expansion of
+    cell_grid(f).  Raises ValueError on the quadrature route and where
+    route raises.
     """
     way = route(f, "expand")
-    if way == "interval":
-        form = interval_form(f)
-        u = form.direction
-        edges = np.concatenate(([-np.inf], form.breakpoints, [np.inf]))
-        onedim = np.zeros((f.k, max_degree + 1))
-        for j in range(len(form.labels)):
-            onedim[form.labels[j] - 1] += _interval_hermite_coeffs(
-                edges[j], edges[j + 1], max_degree
-            )
-        coeffs: dict[tuple[int, ...], np.ndarray] = {}
-        for S in degree_indices(f.n, max_degree):
-            q = sum(S)
-            factor = math.sqrt(math.factorial(q))
-            for s in S:
-                factor /= math.sqrt(math.factorial(s))
-            direction = np.prod([u[i] ** s for i, s in enumerate(S)])
-            vec = onedim[:, q] * factor * direction
-            if np.linalg.norm(vec) >= 1e-14:
-                coeffs[S] = vec
-        return HermiteExpansion(f.n, f.k, max_degree, coeffs)
-    if way == "sign-table":
-        half = np.zeros((2, max_degree + 1))
-        half[0] = _interval_hermite_coeffs(-np.inf, 0.0, max_degree)  # sign -
-        half[1] = _interval_hermite_coeffs(0.0, np.inf, max_degree)  # sign +
-        # C-order axes of the reshaped table run from bit n-1 down to bit
-        # 0; reverse them so axis i is coordinate i
-        table = f.cube.embedding().reshape((2,) * f.n + (f.k,))
-        table = table.transpose(tuple(range(f.n - 1, -1, -1)) + (f.n,))
-        full = contract_axes(table, half, f.n)
-        coeffs = {}
-        for S in degree_indices(f.n, max_degree):
-            if np.linalg.norm(full[S]) >= 1e-14:
-                coeffs[S] = full[S]
-        return HermiteExpansion(f.n, f.k, max_degree, coeffs)
-    raise ValueError(f"no exact expansion for a {f.kind} partition: its route is {way!r}")
+    if way == "quadrature":
+        raise ValueError(f"no exact expansion for a {f.kind} partition: its route is {way!r}")
+    return cell_grid(f).expansion(max_degree)
 
 
 # ---------------------------------------------------------------------------
-# Exact joint cells: the bivariate normal law on interval partitions
+# Exact joint cells: the bivariate normal law on cell grids
 
 
 def sheppard_orthant(rho: float) -> float:
@@ -589,18 +633,14 @@ def sheppard_orthant(rho: float) -> float:
 
 
 def quad_joint_cells_1d(f: PartitionFn, rho: float) -> np.ndarray:
-    """Exact joint cell matrix J[i, j] = Pr[f(X)=i+1, f(Y)=j+1] of an
-    interval-structured partition (slabs, halfspaces, 1-D PTFs) at any rho:
-    X and Y project to rho-correlated normals on the structure direction,
-    so each pair of intervals holds a rectangle of bvn_cdf on the edge
-    grid.  trace(J) is the agreement stability."""
-    form = interval_form(f)
-    if form is None:
-        raise ValueError("joint cells need an interval-structured partition")
-    edges = np.concatenate(([-np.inf], form.breakpoints, [np.inf]))
-    rect = np.diff(np.diff(bvn_cdf(edges[:, None], edges[None, :], rho), axis=0), axis=1)
-    onehot = np.eye(f.k)[form.labels - 1]
-    return onehot.T @ rect @ onehot
+    """Exact joint cell matrix J[i, j] = Pr[f(X)=i+1, f(Y)=j+1] of a
+    partition with a cell grid (slabs, halfspaces, 1-D PTFs, sign tables)
+    at any rho: CellGrid.joint_cells.  trace(J) is the agreement
+    stability."""
+    grid = cell_grid(f)
+    if grid is None:
+        raise ValueError("joint cells need an interval or sign-table partition")
+    return grid.joint_cells(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -618,31 +658,18 @@ def random_balanced_slabs(rng: np.random.Generator, k: int = 2, pieces: int = 4,
 
     Random interval lengths are drawn in Phi-space per label and
     renormalized so each label covers mass 1/k, then interleaved in random
-    label order and mapped through the Gaussian quantile function.
+    label order (each label's lengths taken last first) and mapped through
+    the Gaussian quantile function, merging runs of one label.
     """
-    counts = [pieces for _ in range(k)]
-    lengths = {lab: rng.random(counts[lab - 1]) for lab in range(1, k + 1)}
-    for lab in lengths:
-        lengths[lab] = lengths[lab] / lengths[lab].sum() / k
-    order = []
-    for lab in range(1, k + 1):
-        order += [lab] * counts[lab - 1]
-    order = list(rng.permutation(order))
-    remaining = {lab: list(lengths[lab]) for lab in range(1, k + 1)}
-    segs = [(lab, remaining[lab].pop()) for lab in order]
-    merged_labels = []
-    cum = []
-    total = 0.0
-    for lab, ln in segs:
-        if merged_labels and merged_labels[-1] == lab:
-            total += ln
-            cum[-1] = total
-        else:
-            total += ln
-            merged_labels.append(lab)
-            cum.append(total)
-    cuts = ndtri(np.asarray(cum[:-1]))
-    return Slabs(axis, cuts, merged_labels, n=n, k=k)
+    if pieces < 1:
+        raise ValueError(f"pieces must be >= 1, got {pieces}")
+    lengths = np.stack([rng.random(pieces) for _ in range(k)])
+    lengths = lengths / lengths.sum(axis=1, keepdims=True) / k
+    order = rng.permutation(np.repeat(np.arange(1, k + 1), pieces))
+    seg = np.empty(k * pieces)
+    seg[np.argsort(order, kind="stable")] = lengths[:, ::-1].ravel()
+    cuts, labels = _merge_runs(np.cumsum(seg)[:-1], order)
+    return Slabs(axis, ndtri(cuts), labels, n=n, k=k)
 
 
 def partition_to_json(f: PartitionFn) -> str:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .chaos import PolyGauss
 from .gauss import (
@@ -40,9 +39,8 @@ from .partitions import (
     Callback,
     MultiPTF,
     PartitionFn,
-    Tabulated,
+    cell_grid,
     exact_expansion,
-    interval_form,
     route,
 )
 
@@ -197,54 +195,20 @@ def find_matching_threshold(
 
 def smoothed_partition_values(f: PartitionFn, t: float, X: np.ndarray, quad_order: int = 32) -> np.ndarray:
     """(P_t f)(x) for the simplex embedding of a partition, batched, on
-    the route that partitions.route(f, "smooth") names; the two
-    quadrature routes use the order-``quad_order`` tensor rule.
+    the route that partitions.route(f, "smooth") names: CellGrid.smooth
+    of cell_grid(f) on the interval and sign-table routes, and the
+    order-``quad_order`` tensor rule on the two quadrature routes.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     rho, scale, _ = coupling(t)
     if t == 0.0:
         return f.onehot(X)
     way = route(f, "smooth")
-    if way == "interval":
-        form = interval_form(f)
-        return form.cell_probs(rho * np.einsum("xi,i->x", X, form.direction), scale)
-    if way == "sign-table":
-        return _smooth_sign_table(f, ndtr(rho * X / scale))
+    if way in ("interval", "sign-table"):
+        return cell_grid(f).smooth(X, rho, scale)
     if way == "ptf-addition":
         return _smooth_ptf(f, rho, scale, X, quad_order)
     return ou_on_points(lambda P: f.onehot(P), t, X, quad_order=quad_order, k=f.k)
-
-
-_BLOCK_ENTRIES = 1 << 20  # array entries per block of points
-
-
-def _sign_weights(plus: np.ndarray) -> np.ndarray:
-    """(2^m, N) orthant probabilities prod_i Pr[sign_i], rows indexed by
-    bit pattern, from the (m, N) probabilities that each coordinate is > 0."""
-    w = np.ones((1, plus.shape[1]))
-    for i in range(plus.shape[0] - 1, -1, -1):
-        w = np.stack((w * (1.0 - plus[i]), w * plus[i]), axis=1).reshape(-1, plus.shape[1])
-    return w
-
-
-def _smooth_sign_table(f: Tabulated, plus: np.ndarray) -> np.ndarray:
-    """sum_x onehot(f(x)) prod_i Pr[sign_i = x_i] for each row of ``plus``.
-
-    The one-hot table, viewed as (high bits, low bits, k), is contracted
-    over the low bits against the orthant weights of the low coordinates,
-    then over the high bits point by point, in blocks of points that keep
-    each block near _BLOCK_ENTRIES entries.
-    """
-    low = (f.n + 1) // 2
-    high = f.n - low
-    table = f.cube.embedding().reshape(1 << high, 1 << low, f.k)
-    out = np.empty((plus.shape[0], f.k))
-    step = max(1, _BLOCK_ENTRIES // ((1 << high) * f.k + (1 << low)))
-    for lo in range(0, plus.shape[0], step):
-        p = plus[lo : lo + step].T
-        partial = np.einsum("hlk,lx->hkx", table, _sign_weights(p[:low]))
-        out[lo : lo + step] = np.einsum("hx,hkx->xk", _sign_weights(p[low:]), partial)
-    return out
 
 
 _PAIR_BLOCK_ENTRIES = 1 << 16  # (point, polynomial, node) entries per block

@@ -418,6 +418,14 @@ def _round_argv(tol):
     return ["round", "--partition", "{half}", "--t", "0.5", "--samples", "2000", "--tol", tol]
 
 
+def _ptf_file_text(constant, entry):
+    """The 1-D PTF (x, -x) as a partition file, its first polynomial
+    given the JSON texts ``constant`` and ``entry`` (NaN, Infinity)."""
+    poly = '{{"constant": {}, "chaos": [{{"order": 1, "dim": 1, "entries": [{{"multiset": [0], "value": {}}}]}}]}}'
+    polys = f"{poly.format(constant, entry)}, {poly.format('0.0', '-1.0')}"
+    return f'{{"kind": "ptf", "k": 2, "n": 1, "payload": {{"k": 2, "n": 1, "polys": [{polys}]}}}}'
+
+
 class TestExitCodes:
     def test_missing_file_is_usage_error(self, capsys):
         assert cli_dispatch(["stability", "--partition", "/no/such.json", "--rho", "0.5"]) == 2
@@ -485,6 +493,12 @@ class TestExitCodes:
             (["search", "--config", "{cfg_list}"], "search config must be a JSON object"),
             (["stability", "--partition", "{nan_half}", "--rho", "0.5"], "halfspace a and b must be finite"),
             (["stability", "--partition", "{inf_slabs}", "--rho", "0.5"], "breakpoints must be finite"),
+            (["stability", "--partition", "{nan_ptf}", "--rho", "0.5", "--samples", "10000"],
+             "polynomial constant and chaos entries must be finite"),
+            (["hermite", "--partition", "{nan_ptf}"], "polynomial constant and chaos entries must be finite"),
+            (["stability", "--partition", "{inf_ptf}", "--rho", "0.5", "--samples", "10000"],
+             "polynomial constant and chaos entries must be finite"),
+            (["hermite", "--partition", "{inf_ptf}"], "polynomial constant and chaos entries must be finite"),
         ],
         ids=[
             "ncd-nan-source", "ncd-negative-mu", "ncd-nan-mu", "ncd-empty-mu", "ncd-dict-mu", "ncd-short-nu",
@@ -493,7 +507,8 @@ class TestExitCodes:
             "search-nan-tol", "basis-nan-source", "simulate-nan-source", "ncd-negative-oracle-n",
             "ncd-zero-n-max", "ncd-negative-n-max", "search-missing-fields", "search-unknown-field",
             "search-unknown-and-missing", "search-not-an-object", "stability-nan-halfspace",
-            "stability-inf-breakpoint",
+            "stability-inf-breakpoint", "stability-nan-ptf-constant", "hermite-nan-ptf-constant",
+            "stability-inf-ptf-entry", "hermite-inf-ptf-entry",
         ],
     )
     def test_bad_input_is_usage_error(self, argv, named, halfspace_file, dist_file, tmp_path, capsys):
@@ -518,6 +533,8 @@ class TestExitCodes:
             ("nan_half", '{"kind": "halfspace", "k": 2, "n": 1, "payload": {"a": [0.0], "b": [NaN]}}'),
             ("inf_slabs", '{"kind": "slabs", "k": 2, "n": 1, "payload": {"axis": 0, '
                           '"breakpoints": [-0.5, Infinity], "labels": [1, 2, 1], "n": 1, "k": 2}}'),
+            ("nan_ptf", _ptf_file_text("NaN", "1.0")),
+            ("inf_ptf", _ptf_file_text("0.0", "Infinity")),
         ]:
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(text)

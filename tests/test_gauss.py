@@ -244,13 +244,13 @@ class TestRhoRule:
 
     @pytest.mark.parametrize("rho", [-0.5, 1.0])
     def test_joint_cells_take_every_rho(self, rho):
-        from gstab.partitions import Halfspace, Slabs, quad_joint_cells_1d
+        from gstab.partitions import Halfspace, Slabs, cell_grid, quad_joint_cells_1d
 
         J = quad_joint_cells_1d(Halfspace([0.0], [1.0]), rho)
         assert J[0, 0] == pytest.approx({-0.5: 1 / 6, 1.0: 1 / 2}[rho], abs=1e-15)
         if rho == 1.0:  # Y = X: both points always share their cell
             f = Slabs(0, [-0.4, 0.3, 1.1], [2, 1, 3, 1], k=3)
-            mu = f.cell_probs(np.zeros(1), 1.0)[0]
+            mu = cell_grid(f).smooth(np.zeros((1, 1)), 0.0, 1.0)[0]
             np.testing.assert_allclose(quad_joint_cells_1d(f, rho), np.diag(mu), rtol=0, atol=1e-15)
 
 

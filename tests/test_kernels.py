@@ -365,8 +365,8 @@ GUARD = textwrap.dedent(
     import time
     import numpy as np
     from gstab.chaos import GramSpec, PolyGauss, matched_family, pair_block_product_difference
-    from gstab.cube import cube_influences, cube_stability, make_voting_rule
-    from gstab.partitions import Halfspace, MultiPTF, equal_slabs, estimate_stability
+    from gstab.cube import CubeFn, cube_influences, cube_stability, make_voting_rule
+    from gstab.partitions import Halfspace, MultiPTF, Tabulated, equal_slabs, estimate_stability
     from gstab.rounding import _match_threshold_on_values, smoothed_partition_values
     from gstab.tensors import SymmetricTensor, symmetrize
 
@@ -384,12 +384,15 @@ GUARD = textwrap.dedent(
     X2 = rng.standard_normal((1_000_000, 2))
     X3 = rng.standard_normal((1_000_000, 3))
     majority = make_voting_rule("majority", 17, 2)
+    signs = Tabulated(CubeFn(12, 3, rng.integers(1, 4, 1 << 12)))
+    X12 = rng.standard_normal((100_000, 12))
     F3 = smoothed_partition_values(equal_slabs(3), 0.5, X2[:, :1])
     wall, cpu = time.perf_counter(), time.process_time()
     estimate_stability(h, None, 2_000_000, 0, rho=0.6)
     ptf.labels(X2)
     pair_block_product_difference(fam_a, fam_b, 1_000_000, 0)
     smoothed_partition_values(h, 0.5, X3)
+    smoothed_partition_values(signs, 0.5, X12)
     cube_stability(majority, 0.6)
     cube_influences(majority)
     _match_threshold_on_values(F3, np.array([0.2, 0.5, 0.3]), 0.01)

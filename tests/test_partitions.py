@@ -27,12 +27,13 @@ from gstab.partitions import (
     estimate_stability,
     partition_from_json,
     partition_to_json,
-    interval_form,
+    cell_grid,
     quad_joint_cells_1d,
     route,
     sheppard_orthant,
 )
-from gstab.cube import CubeFn, make_voting_rule
+from gstab.cube import CubeFn, cube_stability, make_voting_rule
+from gstab.gauss import gaussian_rng
 from gstab.tensors import SymmetricTensor
 
 
@@ -100,10 +101,10 @@ class TestEvalPartition:
             f = Halfspace(a, b)
             X = rng.standard_normal((2000, n))
             X[::9] = a  # points on the boundary take label 1
-            form = interval_form(f)
-            s = X @ form.direction
-            off = np.abs(s - form.breakpoints[0]) > 1e-12
-            np.testing.assert_array_equal(f.labels(X)[off], form.projected().labels(s[:, None])[off])
+            grid = cell_grid(f)
+            s = X @ grid.axes[0]
+            off = np.abs(s - grid.cuts[0][0]) > 1e-12
+            np.testing.assert_array_equal(f.labels(X)[off], grid.labels(X)[off])
             np.testing.assert_array_equal(f.labels(X[::9]), 1)
 
 
@@ -279,8 +280,7 @@ class TestQuadOracles:
     def test_joint_cells_are_a_coupling_of_the_measures(self, rng, rho):
         for f in (random_balanced_slabs(rng, k=3, pieces=3), balanced_two_part(rng)):
             J = quad_joint_cells_1d(f, rho)
-            form = interval_form(f)
-            mu = form.cell_probs(np.zeros(1), 1.0)[0]
+            mu = cell_grid(f).smooth(np.zeros((1, f.n)), 0.0, 1.0)[0]
             np.testing.assert_allclose(J, J.T, rtol=0, atol=1e-15)
             np.testing.assert_allclose(J.sum(axis=1), mu, rtol=0, atol=1e-15)
             assert J.min() >= -1e-16
@@ -296,6 +296,88 @@ class TestQuadOracles:
         f = random_balanced_slabs(np.random.default_rng(seed), k=k, pieces=pieces, n=2, axis=1)
         est = estimate_stability(f, None, 40_000, seed, rho=rho)
         assert np.trace(quad_joint_cells_1d(f, rho)) == pytest.approx(est.value, abs=5 * est.std_error)
+
+
+SIGN_RHOS = [-0.9, 0.0, 0.6, 0.99]
+
+
+def _sign_tables():
+    rng = np.random.default_rng(23)
+    return [
+        make_voting_rule("majority", 5, 2),
+        make_voting_rule("majority", 9, 2),
+        make_voting_rule("plurality", 6, 3),
+        make_voting_rule("plurality", 10, 4),
+        CubeFn(1, 2, np.array([2, 1])),
+        CubeFn(7, 3, rng.integers(1, 4, 1 << 7)),
+        CubeFn(10, 2, rng.integers(1, 3, 1 << 10)),
+    ]
+
+
+class TestCellGrid:
+    def test_grid_labels_are_the_partition_labels(self, rng):
+        parts = [
+            Halfspace([0.3, -0.1], [1.0, -2.0]),
+            equal_slabs(4, axis=1, n=3),
+            MultiPTF([random_quadratic_poly(rng, 1) for _ in range(3)]),
+            Tabulated(make_voting_rule("plurality", 6, 3)),
+        ]
+        for f in parts:
+            X = rng.standard_normal((3000, f.n))
+            np.testing.assert_array_equal(cell_grid(f).labels(X), f.labels(X))
+        assert cell_grid(_ptf(2)) is None
+        assert cell_grid(Callback(lambda X: np.ones(X.shape[0]), 1, 2)) is None
+
+    def test_grid_shapes(self):
+        grid = cell_grid(Tabulated(make_voting_rule("majority", 3, 2)))
+        np.testing.assert_array_equal(grid.axes, np.eye(3))
+        assert grid.coordinate and grid.table.shape == (2, 2, 2) and len(grid.cuts) == 3
+        grid = cell_grid(Halfspace([0.0, 1.0], [3.0, 4.0]))
+        np.testing.assert_allclose(grid.axes, [[0.6, 0.8]], rtol=0, atol=1e-15)
+        assert not grid.coordinate and grid.cuts[0].tolist() == [0.8]
+
+    @pytest.mark.parametrize("rho", SIGN_RHOS)
+    def test_sign_table_trace_is_the_cube_stability(self, rho):
+        # sign(X_i) and sign(Y_i) are bits with correlation (2/pi) asin rho
+        for cube in _sign_tables():
+            agreement = float(np.trace(quad_joint_cells_1d(Tabulated(cube), rho)))
+            assert agreement == pytest.approx(cube_stability(cube, 2.0 / math.pi * math.asin(rho)), abs=1e-12)
+
+    @pytest.mark.parametrize("rho", SIGN_RHOS)
+    def test_sign_table_joint_cells_are_a_coupling_of_the_measures(self, rho):
+        for cube in _sign_tables():
+            J = quad_joint_cells_1d(Tabulated(cube), rho)
+            mu = np.bincount(cube.table, minlength=cube.k + 1)[1:] / (1 << cube.n)
+            np.testing.assert_allclose(J, J.T, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(J.sum(axis=1), mu, rtol=0, atol=1e-15)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        k=st.integers(2, 4),
+        rho=st.floats(-0.99, 0.99),
+        seed=st.integers(0, 2**31),
+    )
+    def test_sign_table_trace_matches_seeded_monte_carlo(self, n, k, rho, seed):
+        f = Tabulated(CubeFn(n, k, np.random.default_rng(seed).integers(1, k + 1, 1 << n)))
+        est = estimate_stability(f, None, 40_000, seed, rho=rho)
+        # a constant table agrees surely: its estimate has no spread
+        assert np.trace(quad_joint_cells_1d(f, rho)) == pytest.approx(est.value, abs=5 * est.std_error + 1e-12)
+
+    def test_random_balanced_slabs_draws_are_pinned(self):
+        # borell-check draws its slabs this way, so its rows rest on these
+        pinned = {
+            0: ([-1.8836964196415202, -0.6597550744695255, 0.002914763560028683, 0.433339468273572,
+                 1.2337694025346508], [1, 2, 1, 2, 1, 2]),
+            1: ([-0.7666674333236034, -0.03976095647945003, 0.7143746106382018], [2, 1, 2, 1]),
+            2: ([-0.877844360401956, -0.07704971917178623, -0.05265661108625751, 0.5236093243657601],
+                [2, 1, 2, 1, 2]),
+        }
+        for seed, (cuts, labels) in pinned.items():
+            f = random_balanced_slabs(gaussian_rng(seed), k=2, pieces=4)
+            assert f.breakpoints.tolist() == cuts and f.interval_labels.tolist() == labels
+        with pytest.raises(ValueError, match="pieces must be >= 1"):
+            random_balanced_slabs(gaussian_rng(0), k=2, pieces=0)
 
 
 def _ptf(n):

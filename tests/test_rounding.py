@@ -195,12 +195,11 @@ class TestSmoothedValues:
 
     def test_one_dim_ptf_reduces_exactly(self, rng):
         from conftest import random_quadratic_poly
-        from gstab.partitions import MultiPTF, interval_form
+        from gstab.partitions import MultiPTF, cell_grid
 
         f = MultiPTF([random_quadratic_poly(rng, 1) for _ in range(2)])
-        form = interval_form(f)
         X = rng.standard_normal((3000, 1))
-        np.testing.assert_array_equal(f.labels(X), form.projected().labels(X))
+        np.testing.assert_array_equal(f.labels(X), cell_grid(f).labels(X))
         x = np.array([0.4])
         sm = smoothed_partition_values(f, 0.7, x[None, :])[0]
         rho, sig = math.exp(-0.7), math.sqrt(1 - math.exp(-1.4))
@@ -242,19 +241,20 @@ class TestSmoothedValues:
     def test_the_kernel_that_runs_is_the_named_route(self, rng, monkeypatch):
         import gstab.rounding as R
         from gstab.cube import make_voting_rule
-        from gstab.partitions import Callback, IntervalForm, Tabulated, route
+        from gstab.partitions import Callback, CellGrid, Tabulated, route
 
         ran = []
 
         def recording(name, fn):
             def kernel(*args, **kwargs):
-                ran.append(name)
+                ran.append(name(*args) if callable(name) else name)
                 return fn(*args, **kwargs)
 
             return kernel
 
-        monkeypatch.setattr(IntervalForm, "cell_probs", recording("interval", IntervalForm.cell_probs))
-        monkeypatch.setattr(R, "_smooth_sign_table", recording("sign-table", R._smooth_sign_table))
+        # the interval and sign-table routes run the one grid kernel, on one
+        # axis and on the n coordinate axes
+        monkeypatch.setattr(CellGrid, "smooth", recording(lambda grid, *_: ("grid", len(grid.cuts)), CellGrid.smooth))
         monkeypatch.setattr(R, "_smooth_ptf", recording("ptf-addition", R._smooth_ptf))
         monkeypatch.setattr(R, "ou_on_points", recording("quadrature", R.ou_on_points))
         parts = [
@@ -268,7 +268,8 @@ class TestSmoothedValues:
         for f in parts:
             ran.clear()
             smoothed_partition_values(f, 0.5, rng.standard_normal((20, f.n)), 8)
-            assert ran == [route(f, "smooth")], f.kind
+            way = route(f, "smooth")
+            assert ran == [{"interval": ("grid", 1), "sign-table": ("grid", f.n)}.get(way, way)], f.kind
 
 
 class TestStabilityOfRounding:
